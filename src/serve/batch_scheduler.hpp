@@ -4,8 +4,10 @@
 // docs/architecture.md):
 //
 //   clients ──enqueue──▶ RequestQueue lanes
-//                           │ size trigger (pending ≥ max_batch) or
-//                           │ deadline trigger (oldest wait ≥ max_wait_us)
+//                           │ RequestQueue::trigger closes the batch on
+//                           │   size  (pending ≥ max_batch),
+//                           │   quiet (no op admitted since the last check), or
+//                           │   deadline backstop (oldest wait ≥ max_wait_us)
 //                           ▼
 //                    drain → slice into rounds of ≤ max_batch
 //                           ▼ per slice:
@@ -16,6 +18,12 @@
 //          ── barrier ──
 //          phase C  every write op reads the value round r committed,
 //                   publishes Result{value, won, r} into its OpFuture
+//          one commit stamp for the round's sampled latencies
+//
+// A round below kInlineRoundOps ops (config.hpp) skips the OpenMP team
+// and runs the serial fold of the three phases on the pump's own thread —
+// the path exec_threads == 1 always takes — since CAS-LT makes opening a
+// round one increment and the fork would dominate a small round.
 //
 // The barriers give the committed-read contract for free: a lookup
 // admitted into round r can never observe a round-r write, and every
@@ -25,10 +33,16 @@
 // Concurrency shape: clients only touch the queue and their futures; the
 // table, arbiter and histograms are touched only between pump_lock_
 // acquire/release, so any number of threads may call submit_batch()/
-// flush() concurrently and exactly one executes. With exec_threads == 1
-// the three phases run serially with no OpenMP region at all — the mode
-// the raw-thread TSan stress tier drives (OpenMP barriers are invisible
-// to TSan).
+// flush() concurrently and exactly one executes; a PumpGuard holds the
+// lock, so even a throwing round releases it. With exec_threads == 1 the
+// three phases run serially with no OpenMP region at all — the mode the
+// raw-thread TSan stress tier drives (OpenMP barriers are invisible to
+// TSan).
+//
+// A held snapshot cut parks grow, so a round can find the table full: the
+// writes that do are refused (Result{0, false, r}) and the pump carries
+// on. Without a held cut a full table means the backlog reservation
+// broke, and the round throws.
 //
 // BatchScheduler is the single-table ServiceBackend; the key-sharded
 // sibling is ShardedScheduler (sharded_scheduler.hpp). BasicServeSession
@@ -53,7 +67,6 @@
 #include "serve/service_backend.hpp"
 #include "snap/cut.hpp"
 #include "snap/snapshot_file.hpp"
-#include "util/backoff.hpp"
 
 namespace crcw::serve {
 
@@ -81,7 +94,8 @@ class BatchScheduler {
     return cfg.batch.resolved_lanes();
   }
 
-  /// Runs one batch if an admission trigger fired (size or deadline).
+  /// Runs one batch if the admission trigger fired (size, quiet or
+  /// deadline — RequestQueue::trigger).
   /// Returns true iff this call executed at least one round. Safe to call
   /// from any number of threads; losers of the pump race return false.
   bool submit_batch() { return run_batch(false); }
@@ -117,12 +131,9 @@ class BatchScheduler {
   /// epilog checks cuts_held()), never writers. Pair with release_cut()
   /// or snap::HeldCut.
   [[nodiscard]] snap::SnapshotCut mint_cut() {
-    util::Backoff backoff;
-    while (pump_lock_.test_and_set(std::memory_order_acquire)) backoff.pause();
-    const snap::SnapshotCut cut{arbiter_.round(), 1};
+    const PumpGuard pump(pump_lock_);
     cuts_held_.fetch_add(1, std::memory_order_acq_rel);
-    pump_lock_.clear(std::memory_order_release);
-    return cut;
+    return snap::SnapshotCut{arbiter_.round(), 1};
   }
 
   void release_cut() noexcept { cuts_held_.fetch_sub(1, std::memory_order_acq_rel); }
@@ -182,9 +193,11 @@ class BatchScheduler {
 
  private:
   bool run_batch(bool force) {
-    bool by_deadline = false;
-    if (!force && !trigger_fired(by_deadline)) return false;
-    if (pump_lock_.test_and_set(std::memory_order_acquire)) return false;
+    const Close why =
+        force ? Close::kForced : queue_.trigger(cfg_.max_batch, cfg_.max_wait_us);
+    if (why == Close::kNone) return false;
+    const PumpGuard pump(pump_lock_, std::try_to_lock);
+    if (!pump) return false;
     scratch_.clear();
     const std::uint64_t drained = queue_.drain_into(scratch_);
     bool executed = false;
@@ -198,7 +211,7 @@ class BatchScheduler {
         execute_round(&scratch_[begin], n);
       }
       batches_.fetch_add(1, std::memory_order_relaxed);
-      if (by_deadline) deadline_batches_.fetch_add(1, std::memory_order_relaxed);
+      if (why == Close::kDeadline) deadline_batches_.fetch_add(1, std::memory_order_relaxed);
       ops_served_.fetch_add(drained, std::memory_order_relaxed);
       metrics_.batch_closed();
       // Batch boundary = step boundary: if churn tombstoned enough of the
@@ -213,34 +226,25 @@ class BatchScheduler {
       }
       executed = true;
     }
-    pump_lock_.clear(std::memory_order_release);
     return executed;
-  }
-
-  [[nodiscard]] bool trigger_fired(bool& by_deadline) const noexcept {
-    const std::uint64_t pending = queue_.pending();
-    if (pending == 0) return false;
-    if (pending >= cfg_.max_batch) return true;
-    const std::uint64_t oldest = queue_.oldest_enqueue_ns();
-    by_deadline = oldest != 0 && now_ns() - oldest >= cfg_.max_wait_us * 1000;
-    return by_deadline;
   }
 
   /// One CRCW round over records[0..n): partition, reserve, arbitrate,
   /// commit. Runs entirely under pump_lock_.
   void execute_round(Record* records, std::size_t n) {
-    admit_ns_ = now_ns();
+    const std::uint64_t admit_ns = now_ns();
     lookups_.clear();
     writes_.clear();
     // Admission pass: latency sample, sentinel rejection, and — only for
     // the parallel path — the index partition the omp loops need. The
-    // serial path sweeps `records` directly and just counts.
-    const bool parallel = threads_ > 1;
+    // serial path sweeps `records` directly and just counts. A round
+    // below kInlineRoundOps takes the serial path on the calling thread.
+    const bool parallel = threads_ > 1 && n >= kInlineRoundOps;
     std::size_t lookup_count = 0;
     std::size_t write_count = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (records[i].enqueue_ns != 0) {  // sampled (see BatchConfig)
-        metrics_.record_admit(records[i].enqueue_ns, admit_ns_);
+        metrics_.record_admit(records[i].enqueue_ns, admit_ns);
       }
       if (records[i].op.key == Table::kEmptyKey || is_stream_op(records[i].op.kind) ||
           is_snapshot_op(records[i].op.kind)) {
@@ -249,7 +253,7 @@ class BatchScheduler {
         // snapshot kinds are answered by the wire server without entering
         // a round — fail all three here instead of letting the table
         // throw mid-region.
-        publish(records[i], Result{0, false, arbiter_.round() + 1});
+        records[i].future->publish(Result{0, false, arbiter_.round() + 1});
         continue;
       }
       if (records[i].op.kind == OpKind::kLookup) {
@@ -263,12 +267,14 @@ class BatchScheduler {
     metrics_.ops_admitted(n);
 
     // Backlog-sized reservation: one grow big enough for every write in
-    // this round (ROADMAP "resize-storm tail"), so phase B cannot see
-    // kFull — the round has no retry path for a full table. Parked while
-    // a snapshot cut is held (grow frees the old bucket array under a
-    // live scan); callers sizing tables for checkpoint workloads pre-size
-    // via TableConfig::expected_keys.
-    if (cuts_held() == 0) map_.maybe_grow_for_backlog(write_count, threads_);
+    // this round, so phase B cannot see kFull — the round has no retry
+    // path for a full table. Parked while a snapshot cut is held (grow
+    // frees the old bucket array under a live scan); a write that then
+    // finds the table full is refused (won false, value 0) instead.
+    // Callers sizing tables for checkpoint workloads pre-size via
+    // TableConfig::expected_keys.
+    const bool parked = cuts_held() != 0;
+    if (!parked) map_.maybe_grow_for_backlog(write_count, threads_);
 
     const auto scope = arbiter_.next_round(ResetMode::kNone);
     const round_t r = scope.round();
@@ -283,7 +289,7 @@ class BatchScheduler {
             continue;
           }
           const std::uint64_t* v = map_.find(rec.op.key);
-          publish(rec, Result{v != nullptr ? *v : 0, v != nullptr, r});
+          rec.future->publish(Result{v != nullptr ? *v : 0, v != nullptr, r});
         }
       }
       // Serial fold of phases B+C: in admission order the first same-key
@@ -302,16 +308,16 @@ class BatchScheduler {
         switch (outcome) {
           case ds::MapUpsert::kWon:
             ++wins;
-            publish(rec, Result{is_erase ? 0 : rec.op.value, true, r});
+            rec.future->publish(Result{is_erase ? 0 : rec.op.value, true, r});
             break;
           case ds::MapUpsert::kLost: {
             const std::uint64_t* v = map_.find(rec.op.key);
-            publish(rec, Result{v != nullptr ? *v : 0, false, r});
+            rec.future->publish(Result{v != nullptr ? *v : 0, false, r});
             break;
           }
           case ds::MapUpsert::kFull:
             full.fetch_add(1, std::memory_order_relaxed);
-            publish(rec, Result{0, false, r});
+            rec.future->publish(Result{0, false, r});  // refused
             break;
         }
       }
@@ -338,7 +344,10 @@ class BatchScheduler {
       }
       for (const unsigned char w : won_) wins += w;
     }
-    if (full.load(std::memory_order_relaxed) != 0) {
+    metrics_.record_commits(records, records + n, admit_ns, now_ns());
+    if (full.load(std::memory_order_relaxed) != 0 && !parked) {
+      // Only a held cut may leave the table full; without one the backlog
+      // reservation above is broken.
       throw std::runtime_error("serve: table full despite backlog reservation");
     }
 
@@ -352,7 +361,7 @@ class BatchScheduler {
   void do_lookup(Record* records, std::size_t i, round_t r) {
     const Record& rec = records[lookups_[i]];
     const std::uint64_t* v = map_.find(rec.op.key);
-    publish(rec, Result{v != nullptr ? *v : 0, v != nullptr, r});
+    rec.future->publish(Result{v != nullptr ? *v : 0, v != nullptr, r});
   }
 
   /// Phase B: the concurrent-write step — same-key upserts AND erases race
@@ -378,18 +387,13 @@ class BatchScheduler {
 
   /// Phase C: every write op — winner or loser — observes what round r
   /// committed for its key, and its future completes. An erased key is
-  /// simply absent (find() is live-qualified).
+  /// simply absent (find() is live-qualified). A write refused for a full
+  /// table is absent too — no same-round rival can have claimed its key —
+  /// so it publishes the refusal shape, Result{0, false, r}.
   void do_commit(Record* records, std::size_t i, round_t r) {
     const Record& rec = records[writes_[i]];
     const std::uint64_t* v = map_.find(rec.op.key);
-    publish(rec, Result{v != nullptr ? *v : 0, won_[i] != 0, r});
-  }
-
-  void publish(const Record& rec, const Result& result) {
-    if (rec.enqueue_ns != 0) {  // sampled (see BatchConfig)
-      metrics_.record_commit(rec.enqueue_ns, admit_ns_, now_ns());
-    }
-    rec.future->publish(result);
+    rec.future->publish(Result{v != nullptr ? *v : 0, won_[i] != 0, r});
   }
 
   BatchConfig cfg_;
@@ -412,7 +416,6 @@ class BatchScheduler {
   std::vector<std::size_t> lookups_;
   std::vector<std::size_t> writes_;
   std::vector<unsigned char> won_;
-  std::uint64_t admit_ns_ = 0;
 
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> deadline_batches_{0};

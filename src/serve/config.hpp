@@ -21,6 +21,7 @@
 
 #include <omp.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -30,18 +31,28 @@
 
 namespace crcw::serve {
 
+/// Rounds with fewer ops than this run on the calling thread — the same
+/// serial path exec_threads == 1 takes — instead of forking the OpenMP
+/// team: below it the fork and barriers cost more than the work they
+/// spread. Chosen from a measured sweep (CHANGES.md); not a knob.
+inline constexpr std::size_t kInlineRoundOps = 4096;
+
 /// Admission-policy and round-execution knobs for one serving engine.
 struct BatchConfig {
   /// Size trigger: close a batch once this many ops are pending; also the
   /// per-round cap (a bigger drain is sliced into several rounds; the
   /// sharded backend applies the cap per shard).
   std::uint64_t max_batch = 4096;
-  /// Deadline trigger: close a non-empty batch once its oldest op has
-  /// waited this long, so a trickle of traffic still commits promptly.
+  /// Deadline backstop: close a non-empty batch once its oldest op has
+  /// waited this long. A batch normally closes earlier, as soon as
+  /// admission goes quiet (no op admitted between two trigger checks —
+  /// RequestQueue::trigger); the deadline only bounds the wait while
+  /// admission keeps flowing below max_batch.
   std::uint64_t max_wait_us = 250;
   /// OpenMP team size for round execution; 0 = omp_get_max_threads().
   /// 1 = strictly serial (no OpenMP region) — required under the
-  /// raw-thread TSan stress tier.
+  /// raw-thread TSan stress tier. Rounds below kInlineRoundOps run
+  /// serially whatever this says.
   int exec_threads = 0;
   /// Admission lanes; 0 = hardware_concurrency clamped to [1, 16]. The
   /// sharded backend rounds this up to a multiple of the shard count so

@@ -4,11 +4,18 @@
 // ds::ShardedCounter): one cache-line-padded sub-queue per *lane*, each
 // guarded by its own spinlock, with clients bound to lanes by a dense
 // thread-local index. Uncontended enqueues therefore touch only their own
-// line; the pump drains every lane at a batch boundary. Counts and the
-// oldest-enqueue timestamp are advisory relaxed atomics — they steer the
-// size/deadline triggers, never correctness (the drain under the lane lock
-// is the authoritative hand-off, and its acquire/release pairing is the
-// happens-before edge TSan checks in tests/stress/stress_serve.cpp).
+// line; the pump drains every lane at a batch boundary. Counts, admission
+// totals and the oldest-enqueue timestamp are advisory relaxed atomics —
+// they steer the admission trigger, never correctness (the drain under the
+// lane lock is the authoritative hand-off, and its acquire/release pairing
+// is the happens-before edge TSan checks in tests/stress/stress_serve.cpp).
+//
+// The queue owns the one admission trigger every backend's submit_batch()
+// consults (trigger()): a batch closes on size (pending ≥ max_batch), on
+// quiet (ops pending and none admitted since the previous check — waiting
+// longer would only add latency to a round CAS-LT makes nearly free), or,
+// as the backstop for admission that never pauses, on the deadline
+// (oldest op waited ≥ max_wait_us).
 //
 // Backpressure: a lane holds at most `lane_backlog` records; try_enqueue
 // refuses at the watermark and the caller relieves the pressure — the
@@ -36,6 +43,15 @@ struct Record {
   Op op;
   OpFuture* future = nullptr;
   std::uint64_t enqueue_ns = 0;
+};
+
+/// Why an admission check closed a batch (kNone: it did not).
+enum class Close : std::uint8_t {
+  kNone,      ///< nothing pending, or admission still flowing inside the deadline
+  kSize,      ///< pending ≥ max_batch
+  kQuiet,     ///< no op admitted since the previous check
+  kDeadline,  ///< the oldest op waited max_wait_us while admission kept flowing
+  kForced,    ///< flush(): closed unconditionally, no check made
 };
 
 class RequestQueue {
@@ -85,6 +101,8 @@ class RequestQueue {
     util::Backoff backoff;
     while (lane.lock.test_and_set(std::memory_order_acquire)) backoff.pause();
     lane.records.push_back(Record{op, &future, stamp});
+    lane.admitted.store(lane.admitted.load(std::memory_order_relaxed) + 1,
+                        std::memory_order_relaxed);
     if (lane.records.size() == 1) {
       // The deadline trigger needs a real timestamp even for an
       // unsampled head-of-lane record.
@@ -142,6 +160,28 @@ class RequestQueue {
     return total;
   }
 
+  /// The admission trigger: should a batch close now, and why. Checks, in
+  /// order, size, quiet and deadline. Quiet compares the lanes' admission
+  /// totals against the previous check's, so a lone client that submits a
+  /// window and then polls closes it on its second poll, and a background
+  /// pump closes a trickle one idle sleep after it arrived. Any thread may
+  /// call it (advisory reads; the check it records is a relaxed word).
+  [[nodiscard]] Close trigger(std::uint64_t max_batch, std::uint64_t max_wait_us) noexcept {
+    std::uint64_t pending = 0;
+    std::uint64_t admitted = 0;
+    for (const Lane& lane : lanes_) {
+      pending += lane.count.load(std::memory_order_relaxed);
+      admitted += lane.admitted.load(std::memory_order_relaxed);
+    }
+    if (pending == 0) return Close::kNone;
+    if (pending >= max_batch) return Close::kSize;
+    if (admitted_seen_.load(std::memory_order_relaxed) == admitted) return Close::kQuiet;
+    admitted_seen_.store(admitted, std::memory_order_relaxed);
+    const std::uint64_t oldest = oldest_enqueue_ns();
+    return oldest != 0 && now_ns() - oldest >= max_wait_us * 1000 ? Close::kDeadline
+                                                                  : Close::kNone;
+  }
+
   /// Earliest enqueue timestamp across non-empty lanes (0 = none pending)
   /// — the deadline trigger's input. A lane that drained to empty between
   /// advisory samples reports nothing: its count gates the timestamp, so
@@ -165,6 +205,7 @@ class RequestQueue {
   struct alignas(util::kCacheLineSize) Lane {
     std::atomic_flag lock;               // guards `records`
     std::atomic<std::uint64_t> count{0};      // advisory size (size trigger)
+    std::atomic<std::uint64_t> admitted{0};   // lifetime enqueues (quiet trigger)
     std::atomic<std::uint64_t> oldest_ns{0};  // advisory (deadline trigger)
     std::vector<Record> records;
   };
@@ -181,6 +222,9 @@ class RequestQueue {
   std::uint64_t lane_backlog_;
   int backoff_spins_;
   std::uint64_t sample_mask_;
+  // Admission total at the previous trigger() check; written only when it
+  // moved, so idle pollers keep the line shared.
+  alignas(util::kCacheLineSize) std::atomic<std::uint64_t> admitted_seen_{0};
 };
 
 }  // namespace crcw::serve

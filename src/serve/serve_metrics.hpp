@@ -4,7 +4,10 @@
 //   * latency Histograms (always on — recording is one relaxed increment):
 //     enqueue→admit (queueing delay the admission policy controls),
 //     admit→commit (round execution time), and the client-visible sum
-//     enqueue→commit whose p99 the bench reports;
+//     enqueue→commit whose p99 the bench reports. The commit edge is one
+//     clock read per round, taken after the round published
+//     (record_commits), not one per op — every sampled op of a round
+//     shares it;
 //   * an optional `serve` ContentionSite (BatchConfig::counters) mapping
 //     the engine onto the shared counter vocabulary:
 //       attempts   ops admitted into rounds
@@ -44,6 +47,16 @@ class ServeMetrics {
                      std::uint64_t commit_ns) noexcept {
     admit_to_commit_.record(commit_ns - admit_ns);
     enqueue_to_commit_.record(commit_ns - enqueue_ns);
+  }
+  /// The round's commit samples: every sampled record (enqueue_ns != 0) in
+  /// [first, last) takes the one `commit_ns` stamp its round took after
+  /// publishing.
+  template <typename Rec>
+  void record_commits(const Rec* first, const Rec* last, std::uint64_t admit_ns,
+                      std::uint64_t commit_ns) noexcept {
+    for (; first != last; ++first) {
+      if (first->enqueue_ns != 0) record_commit(first->enqueue_ns, admit_ns, commit_ns);
+    }
   }
 
   // -- counters (no-ops when the site is off) -------------------------------

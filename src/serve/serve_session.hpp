@@ -8,8 +8,9 @@
 //   * call(op): synchronous convenience — submits, then self-pumps until
 //     the result lands, so a single-threaded caller never deadlocks
 //     waiting for a pump that does not exist;
-//   * start_pump()/stop_pump(): a background thread that polls on the
-//     deadline cadence — the "service" deployment shape.
+//   * start_pump()/stop_pump(): a background thread that polls every
+//     idle-sleep interval (max_wait_us / 4) — the "service" deployment
+//     shape.
 //
 // The session routes every submit through backend.route(key), which is
 // where lane→shard affinity happens: on the sharded backend an op lands
@@ -87,8 +88,10 @@ class BasicServeSession {
   }
 
   /// Synchronous round trip: submit, then pump until the result lands.
-  /// Works with or without other pumps; the deadline trigger bounds how
-  /// long a lone op waits for a round (≤ max_wait_us per poll pass).
+  /// Works with or without other pumps. A lone caller's op commits on its
+  /// second poll: the first sees it arrive, the second sees admission
+  /// quiet and closes the batch (RequestQueue::trigger); the deadline
+  /// (max_wait_us) only backstops admission that never pauses.
   Result call(const Op& op) {
     OpFuture future;
     submit(op, future);
@@ -122,8 +125,10 @@ class BasicServeSession {
     }
   }
 
-  /// Starts the background pump: polls on the deadline cadence so batches
-  /// close by max_wait_us even with no client-side pumping. Idempotent.
+  /// Starts the background pump: polls, and sleeps max_wait_us / 4 after
+  /// every poll that ran nothing, so with no client-side pumping a trickle
+  /// commits one idle sleep after it arrives (the next poll sees admission
+  /// quiet) and steady traffic by max_wait_us at the latest. Idempotent.
   void start_pump() {
     if (pump_.joinable()) return;
     pump_stop_.store(false, std::memory_order_relaxed);

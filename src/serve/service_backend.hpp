@@ -13,12 +13,15 @@
 // lane→shard affinity lives.
 #pragma once
 
+#include <atomic>
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 
 #include "core/round_tag.hpp"
 #include "serve/config.hpp"
+#include "util/backoff.hpp"
 
 namespace crcw::serve {
 
@@ -47,6 +50,33 @@ struct BackendStats {
     return total == 0 ? 1.0
                       : static_cast<double>(shard_local_ops) / static_cast<double>(total);
   }
+};
+
+/// Scoped hold of a backend's pump lock (an atomic_flag spinlock). The
+/// lock is released on every exit from the scope, a throw included, so a
+/// round that fails can never leave the pump wedged for later callers.
+class PumpGuard {
+ public:
+  /// Try-acquire: the losers of the pump race test false and move on.
+  PumpGuard(std::atomic_flag& lock, std::try_to_lock_t) noexcept
+      : lock_(lock), held_(!lock.test_and_set(std::memory_order_acquire)) {}
+  /// Blocking acquire with exponential backoff (parks the pump between
+  /// batches, e.g. to mint a snapshot cut).
+  explicit PumpGuard(std::atomic_flag& lock) noexcept : lock_(lock), held_(true) {
+    util::Backoff backoff;
+    while (lock.test_and_set(std::memory_order_acquire)) backoff.pause();
+  }
+  PumpGuard(const PumpGuard&) = delete;
+  PumpGuard& operator=(const PumpGuard&) = delete;
+  ~PumpGuard() {
+    if (held_) lock_.clear(std::memory_order_release);
+  }
+
+  explicit operator bool() const noexcept { return held_; }
+
+ private:
+  std::atomic_flag& lock_;
+  bool held_;
 };
 
 /// The contract: trigger-gated and unconditional pumping, quiescent

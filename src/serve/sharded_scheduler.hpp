@@ -29,7 +29,15 @@
 // admission order is the (key, round) winner and can publish immediately.
 // Parallelism comes from shard independence, not intra-shard fan-out.
 // With exec_threads == 1 both phases run serially with no OpenMP region
-// (the raw-thread TSan stress tier's mode, tests/stress/stress_sharded).
+// (the raw-thread TSan stress tier's mode, tests/stress/stress_sharded),
+// and so does any round below kInlineRoundOps ops in total: a small
+// round is cheaper on the pump's thread than spread over a forked team.
+//
+// Batches close on RequestQueue::trigger (size, quiet, deadline
+// backstop). A held snapshot cut parks grow, so a write that finds its
+// shard full is refused (Result{0, false, r}); without a held cut that is
+// a broken backlog reservation and the round throws — the PumpGuard
+// releases the pump lock either way.
 //
 // Grow/reclaim stay per-shard decisions: each shard reserves capacity for
 // its own slice backlog before the round, and at batch close each shard
@@ -60,7 +68,6 @@
 #include "serve/service_backend.hpp"
 #include "snap/cut.hpp"
 #include "snap/snapshot_file.hpp"
-#include "util/backoff.hpp"
 #include "util/cacheline.hpp"
 
 namespace crcw::serve {
@@ -135,13 +142,9 @@ class ShardedScheduler {
   /// only grow/reclaim park while the cut is held (the batch epilog
   /// checks cuts_held()).
   [[nodiscard]] snap::SnapshotCut mint_cut() {
-    util::Backoff backoff;
-    while (pump_lock_.test_and_set(std::memory_order_acquire)) backoff.pause();
-    const snap::SnapshotCut cut{arbiter_.round(),
-                                static_cast<std::uint32_t>(shards_.size())};
+    const PumpGuard pump(pump_lock_);
     cuts_held_.fetch_add(1, std::memory_order_acq_rel);
-    pump_lock_.clear(std::memory_order_release);
-    return cut;
+    return snap::SnapshotCut{arbiter_.round(), static_cast<std::uint32_t>(shards_.size())};
   }
 
   void release_cut() noexcept { cuts_held_.fetch_sub(1, std::memory_order_acq_rel); }
@@ -240,19 +243,15 @@ class ShardedScheduler {
     return slot;
   }
 
-  [[nodiscard]] bool trigger_fired(bool& by_deadline) const noexcept {
-    const std::uint64_t pending = queue_.pending();
-    if (pending == 0) return false;
-    if (pending >= cfg_.batch.max_batch) return true;
-    const std::uint64_t oldest = queue_.oldest_enqueue_ns();
-    by_deadline = oldest != 0 && now_ns() - oldest >= cfg_.batch.max_wait_us * 1000;
-    return by_deadline;
-  }
-
   bool run_batch(bool force) {
-    bool by_deadline = false;
-    if (!force && !trigger_fired(by_deadline)) return false;
-    if (pump_lock_.test_and_set(std::memory_order_acquire)) return false;
+    const Close why = force ? Close::kForced
+                            : queue_.trigger(cfg_.batch.max_batch, cfg_.batch.max_wait_us);
+    if (why == Close::kNone) return false;
+    const PumpGuard pump(pump_lock_, std::try_to_lock);
+    if (!pump) return false;
+    // Cleared here rather than at batch close: a round that threw leaves
+    // its batch behind, and it must never run again.
+    for (auto& s : shards_) s->pending.clear();
 
     // Drain lane-by-lane: a routed lane lands wholesale in its shard's
     // pending list (local); strays — raw enqueues that bypassed route()
@@ -292,7 +291,7 @@ class ShardedScheduler {
       for (std::size_t j = 0; j < slices; ++j) execute_slice(j);
 
       batches_.fetch_add(1, std::memory_order_relaxed);
-      if (by_deadline) deadline_batches_.fetch_add(1, std::memory_order_relaxed);
+      if (why == Close::kDeadline) deadline_batches_.fetch_add(1, std::memory_order_relaxed);
       ops_served_.fetch_add(drained, std::memory_order_relaxed);
       metrics_.batch_closed();
       metrics_.routed(local, foreign);
@@ -305,14 +304,12 @@ class ShardedScheduler {
       // Parked while any snapshot cut is held: reclaim frees a shard's
       // bucket array while a concurrent scan_shard_at may be walking it.
       for (auto& s : shards_) {
-        s->pending.clear();
         if (cuts_held() == 0) {
           (void)s->table.maybe_reclaim_parallel(threads_, s->table.telemetry_signal());
         }
       }
       executed = true;
     }
-    pump_lock_.clear(std::memory_order_release);
     return executed;
   }
 
@@ -327,27 +324,35 @@ class ShardedScheduler {
 
   /// One logical round across every shard.
   void execute_slice(std::size_t j) {
-    admit_ns_ = now_ns();
+    const std::uint64_t admit_ns = now_ns();
+    // Grow parks while a cut is held (grow frees the old bucket array
+    // under a live scan), and a write that then finds its shard full is
+    // refused; snapshot workloads pre-size via TableConfig::expected_keys.
+    const bool parked = cuts_held() != 0;
 
     // Serial prolog: admission bookkeeping and the per-shard backlog
     // reservation (grow runs its own OpenMP region, so it cannot live
     // inside the execution region below).
     std::uint64_t admitted = 0;
     for (std::size_t s = 0; s < shards_.size(); ++s) {
+      Shard& shard = *shards_[s];
+      // Reset even an idle shard: a stale flag from an earlier slice would
+      // be summed into this round's outcome.
+      shard.wins = 0;
+      shard.full = false;
       const auto [begin, end] = window(s, j);
       if (begin == end) continue;
-      Shard& shard = *shards_[s];
       std::uint64_t write_count = 0;
       for (std::size_t i = begin; i < end; ++i) {
         const Record& rec = shard.pending[i];
-        if (rec.enqueue_ns != 0) metrics_.record_admit(rec.enqueue_ns, admit_ns_);
+        if (rec.enqueue_ns != 0) metrics_.record_admit(rec.enqueue_ns, admit_ns);
         if (rec.op.key == Table::kEmptyKey || is_stream_op(rec.op.kind) ||
             is_snapshot_op(rec.op.kind)) {
           // Sentinel keys, stream-vocabulary ops and snapshot kinds are
           // rejected at admission without touching any table (stream ops
           // belong to the streaming backend; snapshot kinds are answered
           // by the wire server without entering a round).
-          publish(rec, Result{0, false, arbiter_.round() + 1});
+          rec.future->publish(Result{0, false, arbiter_.round() + 1});
         } else if (rec.op.kind != OpKind::kLookup) {
           ++write_count;
         }
@@ -356,12 +361,7 @@ class ShardedScheduler {
       admitted += ops;
       shard.ops_total += ops;
       if (shard.site) shard.site->add_attempts(ops);
-      // Backlog grow parks too while a cut is held (grow frees the old
-      // bucket array under a live scan); snapshot workloads pre-size via
-      // TableConfig::expected_keys.
-      if (cuts_held() == 0) shard.table.maybe_grow_for_backlog(write_count, threads_);
-      shard.wins = 0;
-      shard.full = false;
+      if (!parked) shard.table.maybe_grow_for_backlog(write_count, threads_);
     }
     metrics_.ops_admitted(admitted);
 
@@ -369,10 +369,11 @@ class ShardedScheduler {
     const round_t r = scope.round();
     const auto n_shards = static_cast<std::ptrdiff_t>(shards_.size());
 
-    if (threads_ == 1) {
-      // Strictly serial, no OpenMP region (the TSan stress tier's mode):
-      // every shard's lookups run before any shard's writes, preserving
-      // the same cross-shard round boundary the barrier gives below.
+    if (threads_ == 1 || admitted < kInlineRoundOps) {
+      // Strictly serial, no OpenMP region (the TSan stress tier's mode,
+      // and every small round): every shard's lookups run before any
+      // shard's writes, preserving the same cross-shard round boundary
+      // the barrier gives below.
       for (std::ptrdiff_t s = 0; s < n_shards; ++s) {
         lookup_pass(static_cast<std::size_t>(s), j, r);
       }
@@ -397,6 +398,7 @@ class ShardedScheduler {
       }
     }
 
+    const std::uint64_t commit_ns = now_ns();
     std::uint64_t wins = 0;
     bool full = false;
     for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -404,14 +406,18 @@ class ShardedScheduler {
       wins += shard.wins;
       full = full || shard.full;
       const auto [begin, end] = window(s, j);
-      if (begin != end) metrics_.record_shard_round_ops(end - begin);
+      if (begin != end) {
+        metrics_.record_commits(shard.pending.data() + begin, shard.pending.data() + end,
+                                admit_ns, commit_ns);
+        metrics_.record_shard_round_ops(end - begin);
+      }
       if (shard.site) {
         if (shard.wins != 0) shard.site->add_wins(shard.wins);
         shard.site->flush_round();
       }
       shard.table.flush_round();
     }
-    if (full) {
+    if (full && !parked) {
       throw std::runtime_error("serve: shard full despite backlog reservation");
     }
     metrics_.write_wins(wins);
@@ -426,7 +432,7 @@ class ShardedScheduler {
       const Record& rec = shard.pending[i];
       if (rec.op.kind != OpKind::kLookup || rec.op.key == Table::kEmptyKey) continue;
       const std::uint64_t* v = shard.table.find(rec.op.key);
-      publish(rec, Result{v != nullptr ? *v : 0, v != nullptr, r});
+      rec.future->publish(Result{v != nullptr ? *v : 0, v != nullptr, r});
     }
   }
 
@@ -448,26 +454,19 @@ class ShardedScheduler {
       switch (outcome) {
         case ds::MapUpsert::kWon:
           ++shard.wins;
-          publish(rec, Result{is_erase ? 0 : rec.op.value, true, r});
+          rec.future->publish(Result{is_erase ? 0 : rec.op.value, true, r});
           break;
         case ds::MapUpsert::kLost: {
           const std::uint64_t* v = shard.table.find(rec.op.key);
-          publish(rec, Result{v != nullptr ? *v : 0, false, r});
+          rec.future->publish(Result{v != nullptr ? *v : 0, false, r});
           break;
         }
         case ds::MapUpsert::kFull:
           shard.full = true;
-          publish(rec, Result{0, false, r});
+          rec.future->publish(Result{0, false, r});  // refused
           break;
       }
     }
-  }
-
-  void publish(const Record& rec, const Result& result) {
-    if (rec.enqueue_ns != 0) {  // sampled (see BatchConfig)
-      metrics_.record_commit(rec.enqueue_ns, admit_ns_, now_ns());
-    }
-    rec.future->publish(result);
   }
 
   ServeConfig cfg_;
@@ -489,7 +488,6 @@ class ShardedScheduler {
 
   // Pump-private scratch (only touched under pump_lock_).
   std::vector<Record> scratch_;
-  std::uint64_t admit_ns_ = 0;
 
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> deadline_batches_{0};

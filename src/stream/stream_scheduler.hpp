@@ -40,6 +40,14 @@
 // (hooks + rebuild + compact all happened-before the next round's phase
 // A), so a round-r query result is exact for the prefix of writes with
 // round < r — the same committed-read semantics the KV lookups give.
+//
+// The pump is the KV backends': batches close on RequestQueue::trigger
+// (size, quiet, deadline backstop), a round below kInlineRoundOps ops
+// runs both phases serially on the pump's thread, one commit stamp per
+// round feeds the latency samples, and a PumpGuard holds the pump lock.
+// A held cut parks grow; an edge insert that then finds the table full is
+// refused (Result{0, false, r}), and only without a held cut does a full
+// table throw.
 #pragma once
 
 #include <algorithm>
@@ -64,7 +72,6 @@
 #include "snap/snapshot_file.hpp"
 #include "stream/dynamic_graph.hpp"
 #include "stream/incremental_cc.hpp"
-#include "util/backoff.hpp"
 #include "util/cacheline.hpp"
 
 namespace crcw::stream {
@@ -132,12 +139,9 @@ class StreamScheduler {
   /// discipline; whole-state checkpoints go through capture_snapshot
   /// instead so the forest agrees with the edge set.
   [[nodiscard]] snap::SnapshotCut mint_cut() {
-    util::Backoff backoff;
-    while (pump_lock_.test_and_set(std::memory_order_acquire)) backoff.pause();
-    const snap::SnapshotCut cut{arbiter_.round(), 1};
+    const serve::PumpGuard pump(pump_lock_);
     cuts_held_.fetch_add(1, std::memory_order_acq_rel);
-    pump_lock_.clear(std::memory_order_release);
-    return cut;
+    return snap::SnapshotCut{arbiter_.round(), 1};
   }
 
   void release_cut() noexcept { cuts_held_.fetch_sub(1, std::memory_order_acq_rel); }
@@ -172,12 +176,10 @@ class StreamScheduler {
   template <typename EdgeFn, typename ParentFn>
   [[nodiscard]] snap::SnapshotCut capture_snapshot(EdgeFn&& on_edge,
                                                    ParentFn&& on_parent) {
-    util::Backoff backoff;
-    while (pump_lock_.test_and_set(std::memory_order_acquire)) backoff.pause();
+    const serve::PumpGuard pump(pump_lock_);
     const snap::SnapshotCut cut{arbiter_.round(), 1};
     graph_.table().for_each_at(cut.round, std::forward<EdgeFn>(on_edge));
     cc_.for_each_parent(std::forward<ParentFn>(on_parent));
-    pump_lock_.clear(std::memory_order_release);
     return cut;
   }
 
@@ -284,20 +286,16 @@ class StreamScheduler {
     return slot;
   }
 
-  [[nodiscard]] bool trigger_fired(bool& by_deadline) const noexcept {
-    const std::uint64_t pending = queue_.pending();
-    if (pending == 0) return false;
-    if (pending >= cfg_.batch.max_batch) return true;
-    const std::uint64_t oldest = queue_.oldest_enqueue_ns();
-    by_deadline =
-        oldest != 0 && serve::now_ns() - oldest >= cfg_.batch.max_wait_us * 1000;
-    return by_deadline;
-  }
-
   bool run_batch(bool force) {
-    bool by_deadline = false;
-    if (!force && !trigger_fired(by_deadline)) return false;
-    if (pump_lock_.test_and_set(std::memory_order_acquire)) return false;
+    const serve::Close why =
+        force ? serve::Close::kForced
+              : queue_.trigger(cfg_.batch.max_batch, cfg_.batch.max_wait_us);
+    if (why == serve::Close::kNone) return false;
+    const serve::PumpGuard pump(pump_lock_, std::try_to_lock);
+    if (!pump) return false;
+    // Cleared here rather than at batch close: a round that threw leaves
+    // its batch behind, and it must never run again.
+    for (auto& s : stripes_) s->pending.clear();
 
     std::uint64_t drained = 0;
     std::uint64_t local = 0;
@@ -330,11 +328,12 @@ class StreamScheduler {
       for (std::size_t j = 0; j < slices; ++j) execute_slice(j);
 
       batches_.fetch_add(1, std::memory_order_relaxed);
-      if (by_deadline) deadline_batches_.fetch_add(1, std::memory_order_relaxed);
+      if (why == serve::Close::kDeadline) {
+        deadline_batches_.fetch_add(1, std::memory_order_relaxed);
+      }
       ops_served_.fetch_add(drained, std::memory_order_relaxed);
       metrics_.batch_closed();
       metrics_.routed(local, foreign);
-      for (auto& s : stripes_) s->pending.clear();
       // Batch boundary = step boundary: the edge table reclaims when its
       // tombstone watermark OR its own probe telemetry says the churn has
       // degraded walks (the signal-driven trigger). Parked while any
@@ -345,7 +344,6 @@ class StreamScheduler {
       }
       executed = true;
     }
-    pump_lock_.clear(std::memory_order_release);
     return executed;
   }
 
@@ -359,7 +357,7 @@ class StreamScheduler {
 
   /// One logical round across every stripe.
   void execute_slice(std::size_t j) {
-    admit_ns_ = serve::now_ns();
+    const std::uint64_t admit_ns = serve::now_ns();
 
     // Serial prolog: admission bookkeeping, vocabulary/bounds rejection,
     // and ONE backlog reservation on the shared edge table (grow runs its
@@ -367,15 +365,21 @@ class StreamScheduler {
     std::uint64_t admitted = 0;
     std::uint64_t write_count = 0;
     for (std::size_t s = 0; s < stripes_.size(); ++s) {
+      Stripe& stripe = *stripes_[s];
+      // Reset even an idle stripe: stale state from an earlier slice would
+      // be summed into (or rebuilt by) this round's epilog.
+      stripe.wins = 0;
+      stripe.hooks = 0;
+      stripe.full = false;
+      stripe.deleted.clear();
       const auto [begin, end] = window(s, j);
       if (begin == end) continue;
-      Stripe& stripe = *stripes_[s];
       for (std::size_t i = begin; i < end; ++i) {
         const serve::Record& rec = stripe.pending[i];
-        if (rec.enqueue_ns != 0) metrics_.record_admit(rec.enqueue_ns, admit_ns_);
+        if (rec.enqueue_ns != 0) metrics_.record_admit(rec.enqueue_ns, admit_ns);
         switch (classify(rec.op)) {
           case Admit::kReject:
-            publish(rec, serve::Result{0, false, arbiter_.round() + 1});
+            rec.future->publish(serve::Result{0, false, arbiter_.round() + 1});
             break;
           case Admit::kWrite:
             ++write_count;
@@ -387,24 +391,23 @@ class StreamScheduler {
       const auto ops = static_cast<std::uint64_t>(end - begin);
       admitted += ops;
       stripe.ops_total += ops;
-      stripe.wins = 0;
-      stripe.hooks = 0;
-      stripe.full = false;
-      stripe.deleted.clear();
     }
     metrics_.ops_admitted(admitted);
     // Backlog grow parks while a cut is held (grow frees the old bucket
-    // array under a live scan); stream checkpoint workloads pre-size via
+    // array under a live scan), and an insert that then finds the table
+    // full is refused; stream checkpoint workloads pre-size via
     // StreamConfig::expected_edges.
-    if (cuts_held() == 0) graph_.maybe_grow_for_backlog(write_count, threads_);
+    const bool parked = cuts_held() != 0;
+    if (!parked) graph_.maybe_grow_for_backlog(write_count, threads_);
 
     const auto scope = arbiter_.next_round(ResetMode::kNone);
     const round_t r = scope.round();
     const auto n_stripes = static_cast<std::ptrdiff_t>(stripes_.size());
 
-    if (threads_ == 1) {
+    if (threads_ == 1 || admitted < serve::kInlineRoundOps) {
       // Strictly serial, no OpenMP region (the raw-thread TSan stress
-      // tier's mode): all queries before any write, same round boundary.
+      // tier's mode, and every small round): all queries before any
+      // write, same round boundary.
       for (std::ptrdiff_t s = 0; s < n_stripes; ++s) {
         query_pass(static_cast<std::size_t>(s), j, r);
       }
@@ -432,6 +435,7 @@ class StreamScheduler {
     // bounded fallback — rebuild the affected components from live edges,
     // then one compaction sweep refreshes paths and sizes for the next
     // round's queries.
+    const std::uint64_t commit_ns = serve::now_ns();
     std::uint64_t wins = 0;
     std::uint64_t hooks = 0;
     bool full = false;
@@ -443,7 +447,11 @@ class StreamScheduler {
       full = full || stripe.full;
       touched_.insert(touched_.end(), stripe.deleted.begin(), stripe.deleted.end());
       const auto [begin, end] = window(s, j);
-      if (begin != end) metrics_.record_shard_round_ops(end - begin);
+      if (begin != end) {
+        metrics_.record_commits(stripe.pending.data() + begin, stripe.pending.data() + end,
+                                admit_ns, commit_ns);
+        metrics_.record_shard_round_ops(end - begin);
+      }
     }
     if (!touched_.empty()) {
       cc_.rebuild(
@@ -457,7 +465,7 @@ class StreamScheduler {
     if (hooks != 0 || !touched_.empty()) cc_.compact(threads_);
     cc_.flush_round();
     graph_.table().flush_round();
-    if (full) {
+    if (full && !parked) {
       throw std::runtime_error("stream: edge table full despite backlog reservation");
     }
     metrics_.write_wins(wins);
@@ -474,16 +482,16 @@ class StreamScheduler {
       switch (classify(rec.op)) {
         case Admit::kLookup: {
           const std::uint64_t* v = graph_.find_key(rec.op.key);
-          publish(rec, serve::Result{v != nullptr ? *v : 0, v != nullptr, r});
+          rec.future->publish(serve::Result{v != nullptr ? *v : 0, v != nullptr, r});
           break;
         }
         case Admit::kQuery:
           if (rec.op.kind == serve::OpKind::kSameComponent) {
             const bool same = cc_.same_component(static_cast<std::uint32_t>(rec.op.key),
                                                  static_cast<std::uint32_t>(rec.op.value));
-            publish(rec, serve::Result{same ? 1u : 0u, true, r});
+            rec.future->publish(serve::Result{same ? 1u : 0u, true, r});
           } else {  // kComponentSize
-            publish(rec, serve::Result{
+            rec.future->publish(serve::Result{
                              cc_.component_size(static_cast<std::uint32_t>(rec.op.key)),
                              true, r});
           }
@@ -513,16 +521,16 @@ class StreamScheduler {
             if (!was_live) {
               if (cc_.link(e.u, e.v)) ++stripe.hooks;
             }
-            publish(rec, serve::Result{rec.op.value, true, r});
+            rec.future->publish(serve::Result{rec.op.value, true, r});
             break;
           case ds::MapUpsert::kLost: {
             const std::uint64_t* v = graph_.find(e.u, e.v);
-            publish(rec, serve::Result{v != nullptr ? *v : 0, false, r});
+            rec.future->publish(serve::Result{v != nullptr ? *v : 0, false, r});
             break;
           }
           case ds::MapUpsert::kFull:
             stripe.full = true;
-            publish(rec, serve::Result{0, false, r});
+            rec.future->publish(serve::Result{0, false, r});  // refused
             break;
         }
       } else {  // kEdgeErase
@@ -534,16 +542,9 @@ class StreamScheduler {
             stripe.deleted.push_back(e.v);
           }
         }
-        publish(rec, serve::Result{0, outcome == ds::MapUpsert::kWon, r});
+        rec.future->publish(serve::Result{0, outcome == ds::MapUpsert::kWon, r});
       }
     }
-  }
-
-  void publish(const serve::Record& rec, const serve::Result& result) {
-    if (rec.enqueue_ns != 0) {  // sampled (see BatchConfig)
-      metrics_.record_commit(rec.enqueue_ns, admit_ns_, serve::now_ns());
-    }
-    rec.future->publish(result);
   }
 
   serve::ServeConfig cfg_;
@@ -567,7 +568,6 @@ class StreamScheduler {
   // Pump-private scratch (only touched under pump_lock_).
   std::vector<serve::Record> scratch_;
   std::vector<std::uint32_t> touched_;
-  std::uint64_t admit_ns_ = 0;
 
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> deadline_batches_{0};

@@ -76,15 +76,19 @@ TEST(StressSnap, ScansRaceWriters) {
       }
       return;
     }
+    // Writers outlast at least one scan: rounds close as soon as
+    // admission goes quiet, so per_writer calls alone can finish before a
+    // scanner is scheduled and the race would never happen.
     const auto writer = static_cast<std::uint64_t>(tid);
-    for (std::uint64_t i = 0; i < per_writer; ++i) {
+    for (std::uint64_t i = 0;
+         i < per_writer || scans.load(std::memory_order_acquire) == 0; ++i) {
       const std::uint64_t key = 1 + (writer * 7 + i) % kKeys;
-      const Result r = session.call(Op::upsert(key, key * 1'000'000 + i));
+      const Result r = session.call(Op::upsert(key, key * 1'000'000 + i % 1'000'000));
       if (r.value / 1'000'000 != key) {
         ADD_FAILURE() << "writer observed torn value " << r.value;
       }
-      if (i + 1 == per_writer) done.store(true, std::memory_order_release);
     }
+    done.store(true, std::memory_order_release);
   });
 
   EXPECT_GT(scans.load(), 0u);
@@ -109,7 +113,8 @@ TEST(StressSnap, CheckpointsRaceChurnAndEveryFileRestores) {
   ServeSession session(cfg);
   std::atomic<bool> done{false};
   std::string last_path;
-  std::uint64_t checkpoints = 0;
+  std::atomic<std::uint64_t> checkpoints{0};
+  std::atomic<bool> checkpointer_exited{false};
 
   stress::run_threads(writers + 1, [&](int tid) {
     if (tid == 0) {
@@ -126,25 +131,31 @@ TEST(StressSnap, CheckpointsRaceChurnAndEveryFileRestores) {
           break;
         }
         last_path = ckpt.last_path();
-        ++checkpoints;
+        checkpoints.fetch_add(1, std::memory_order_release);
       }
+      checkpointer_exited.store(true, std::memory_order_release);
       return;
     }
+    // Writers churn until at least one checkpoint published under them
+    // (same reason as ScansRaceWriters: fast rounds can otherwise end the
+    // churn before the checkpointer starts).
     const auto writer = static_cast<std::uint64_t>(tid);
-    for (std::uint64_t i = 0; i < per_writer; ++i) {
+    const auto waiting = [&] {
+      return checkpoints.load(std::memory_order_acquire) == 0 &&
+             !checkpointer_exited.load(std::memory_order_acquire);
+    };
+    for (std::uint64_t i = 0; i < per_writer || waiting(); ++i) {
       const std::uint64_t key = 1 + (writer * 13 + i) % kKeys;
       if (i % 2 == 0) {
         (void)session.call(Op::upsert(key, key * 1000 + writer));
       } else {
         (void)session.call(Op::erase(key));  // tombstone pressure
       }
-      if (i + 1 == per_writer && tid == 1) {
-        done.store(true, std::memory_order_release);
-      }
     }
+    if (tid == 1) done.store(true, std::memory_order_release);
   });
 
-  ASSERT_GT(checkpoints, 0u);
+  ASSERT_GT(checkpoints.load(), 0u);
   EXPECT_EQ(session.backend().cuts_held(), 0u);
   ServeSession fresh(cfg);
   std::string err;
