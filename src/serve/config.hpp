@@ -34,14 +34,16 @@ namespace crcw::serve {
 /// Rounds with fewer ops than this run on the calling thread — the same
 /// serial path exec_threads == 1 takes — instead of forking the OpenMP
 /// team: below it the fork and barriers cost more than the work they
-/// spread. Chosen from a measured sweep (CHANGES.md); not a knob.
+/// spread. A backend with one part (shard or stripe) never forks, at any
+/// round size: a team over one part has one worker. Chosen from a
+/// measured sweep (CHANGES.md); not a knob.
 inline constexpr std::size_t kInlineRoundOps = 4096;
 
 /// Admission-policy and round-execution knobs for one serving engine.
 struct BatchConfig {
   /// Size trigger: close a batch once this many ops are pending; also the
-  /// per-round cap (a bigger drain is sliced into several rounds; the
-  /// sharded backend applies the cap per shard).
+  /// per-round cap per shard (a bigger drain is sliced into several
+  /// rounds).
   std::uint64_t max_batch = 4096;
   /// Deadline backstop: close a non-empty batch once its oldest op has
   /// waited this long. A batch normally closes earlier, as soon as
@@ -51,12 +53,12 @@ struct BatchConfig {
   std::uint64_t max_wait_us = 250;
   /// OpenMP team size for round execution; 0 = omp_get_max_threads().
   /// 1 = strictly serial (no OpenMP region) — required under the
-  /// raw-thread TSan stress tier. Rounds below kInlineRoundOps run
-  /// serially whatever this says.
+  /// raw-thread TSan stress tier. Rounds below kInlineRoundOps, and every
+  /// round of a one-part backend, run serially whatever this says.
   int exec_threads = 0;
   /// Admission lanes; 0 = hardware_concurrency clamped to [1, 16]. The
-  /// sharded backend rounds this up to a multiple of the shard count so
-  /// every shard owns the same number of lanes.
+  /// round pump rounds this up to a multiple of the shard count so every
+  /// shard owns the same number of lanes.
   int lanes = 0;
   /// Per-lane backpressure watermark; 0 = derived (max_batch, min 64).
   std::uint64_t lane_backlog = 0;
@@ -67,7 +69,7 @@ struct BatchConfig {
   /// set 4–8 to keep the two clock reads per op off the hot path; the
   /// p99s are then estimates over the sampled subset.
   int latency_sample_shift = 0;
-  /// Attach the `serve` ContentionSite — and, on the sharded backend, one
+  /// Attach the `serve` ContentionSite — and, on the KV backend, one
   /// `serve-shard-<i>` site per shard (profile passes only).
   bool counters = false;
 
@@ -131,8 +133,8 @@ struct TableConfig {
 /// takes the HIGH bits of ds::mix64(key) (bucket probing takes the low
 /// bits, so shard choice and in-shard placement stay decorrelated).
 struct ShardConfig {
-  /// Shard count; validated() rounds up to a power of two. 1 = the
-  /// single-table BatchScheduler shape.
+  /// Shard count; validated() rounds up to a power of two. 1 = one flat
+  /// table. The stream backend runs this many execution stripes.
   int count = 1;
 };
 

@@ -122,7 +122,8 @@ struct Result {
   round_t round = 0;  ///< the round this op executed in
 };
 
-class BatchScheduler;
+template <typename Executor>
+class RoundPump;
 class ShardedScheduler;
 
 /// Completion slot for one in-flight op. The client owns the storage and
@@ -151,8 +152,10 @@ class OpFuture {
   void reset() noexcept { done_.store(false, std::memory_order_relaxed); }
 
  private:
-  // Only round executors may publish (the engine side of the contract).
-  friend class BatchScheduler;
+  // Only the round pump and its executors may publish (the engine side of
+  // the contract).
+  template <typename Executor>
+  friend class RoundPump;
   friend class ShardedScheduler;
   friend class crcw::stream::StreamScheduler;
 

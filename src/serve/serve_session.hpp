@@ -13,9 +13,9 @@
 //     shape.
 //
 // The session routes every submit through backend.route(key), which is
-// where lane→shard affinity happens: on the sharded backend an op lands
-// in a lane owned by its key's shard, so the drained batch is shard-local
-// without any re-sort.
+// where lane→shard affinity happens: an op lands in a lane owned by its
+// key's shard (or stripe), so the drained batch is part-local without any
+// re-sort.
 //
 // Ownership contract: OpFuture storage belongs to the client and must
 // stay pinned from submit until ready() (the engine holds a raw pointer
@@ -30,7 +30,6 @@
 #include <thread>
 #include <vector>
 
-#include "serve/batch_scheduler.hpp"
 #include "serve/config.hpp"
 #include "serve/op.hpp"
 #include "serve/request_queue.hpp"
@@ -177,10 +176,11 @@ class BasicServeSession {
   std::atomic<bool> pump_stop_{false};
 };
 
-/// The single-table shape every pre-sharding call site used.
-using ServeSession = BasicServeSession<BatchScheduler>;
-/// The key-sharded shape (ShardConfig::count shards, lane→shard affinity).
-using ShardedServeSession = BasicServeSession<ShardedScheduler>;
+/// The KV session. With the default ShardConfig::count == 1 it is the flat
+/// single-table shape; with count > 1 ops route to their key's shard.
+using ServeSession = BasicServeSession<ShardedScheduler>;
+/// The same type, named for call sites that configure several shards.
+using ShardedServeSession = ServeSession;
 
 /// ClientSession — a per-client read-your-writes view over any session.
 //

@@ -3,14 +3,14 @@
 //
 // The session owns the client-facing machinery (queue, futures, pump
 // thread, backpressure) and delegates everything round-shaped to a
-// backend: the single-table BatchScheduler and the key-sharded
-// ShardedScheduler implement the same five-method surface, so every
-// session feature (submit/wait/call/flush, background pump, destructor
-// drain) works identically over both. A backend is constructed from
-// (ServeConfig, RequestQueue&, ServeMetrics&) — the session wires them —
-// and additionally tells the session how wide the queue must be
-// (queue_lanes) and which lane an op belongs in (route), which is where
-// lane→shard affinity lives.
+// backend. Both backends — the KV ShardedScheduler (one shard is the flat
+// shape) and stream::StreamScheduler — get this surface from the one
+// RoundPump (round_pump.hpp), so every session feature (submit/wait/call/
+// flush, background pump, destructor drain) works identically over both.
+// A backend is constructed from (ServeConfig, RequestQueue&, ServeMetrics&)
+// — the session wires them — and additionally tells the session how wide
+// the queue must be (queue_lanes) and which lane an op belongs in (route),
+// which is where lane→shard affinity lives.
 #pragma once
 
 #include <atomic>
@@ -29,10 +29,10 @@ class RequestQueue;
 class ServeMetrics;
 
 /// One snapshot of a backend's service counters (relaxed reads; exact
-/// once clients quiesce). The routing pair is only non-zero on sharded
-/// backends: `shard_local_ops` counts ops drained from a lane of their
-/// key's own shard, `shard_foreign_ops` ops that had to cross shards at
-/// execution — the affinity quality the bench reports as a hit rate.
+/// once clients quiesce). `shard_local_ops` counts ops drained from a lane
+/// of their key's own shard, `shard_foreign_ops` ops that had to cross
+/// shards at execution — the affinity quality the bench reports as a hit
+/// rate. A one-shard backend counts every op local.
 struct BackendStats {
   round_t rounds = 0;
   std::uint64_t batches = 0;
@@ -44,7 +44,7 @@ struct BackendStats {
   std::uint64_t shard_foreign_ops = 0;
 
   /// Fraction of executed ops that landed shard-local; 1.0 when nothing
-  /// was routed yet (a single-table backend never routes).
+  /// was routed yet.
   [[nodiscard]] double routing_hit_rate() const noexcept {
     const std::uint64_t total = shard_local_ops + shard_foreign_ops;
     return total == 0 ? 1.0

@@ -186,7 +186,7 @@ TEST(Serve, BacklogGrowAbsorbsOneBigBatch) {
   cfg.table.expected_keys = 2;  // force the reservation path
   cfg.batch.max_batch = 4096;
   ServeSession session(cfg);
-  const std::uint64_t before = session.backend().table().bucket_count();
+  const std::uint64_t before = session.backend().shard_table(0).bucket_count();
 
   constexpr std::uint64_t kKeys = 2000;
   std::vector<OpFuture> futures(kKeys);
@@ -195,7 +195,7 @@ TEST(Serve, BacklogGrowAbsorbsOneBigBatch) {
   }
   session.flush();
 
-  EXPECT_GT(session.backend().table().bucket_count(), before);
+  EXPECT_GT(session.backend().shard_table(0).bucket_count(), before);
   for (std::uint64_t i = 0; i < kKeys; ++i) {
     ASSERT_TRUE(futures[i].ready());
     EXPECT_TRUE(futures[i].result().won);

@@ -1,8 +1,9 @@
-// The round pump shared by all three serving backends (flat, sharded,
-// stream): the quiet admission trigger, refusals instead of a wedged pump
-// when a held snapshot cut leaves a table full, and a differential check
-// that rounds run inline on the pump's thread commit what the OpenMP team
-// commits.
+// The round pump shared by every serving backend (flat = one shard,
+// sharded, stream): the quiet admission trigger, refusals instead of a
+// wedged pump when a held snapshot cut leaves a table full, and
+// differential checks across team sizes — exact on one part, which never
+// forks, and up to the arbitrary winner of a contested write on four
+// shards, whose big rounds fork the OpenMP team.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -104,9 +105,9 @@ TYPED_TEST(Pump, EnqueueBetweenPollsDefersClose) {
 
 TYPED_TEST(Pump, HeldCutOverfillRefusesThenRecovers) {
   // A 16-key table and a held cut: grow is parked, so an overfill must be
-  // refused op by op (won false, value 0) — on the inline path (one op per
-  // call) and on the team path (one round of kInlineRoundOps writes) —
-  // and every later call() must still return.
+  // refused op by op (won false, value 0) — one op per call, and in one
+  // round of kInlineRoundOps writes (the team path on four shards) — and
+  // every later call() must still return.
   const ServeConfig cfg = TypeParam::config().with_expected_keys(16).with_exec_threads(4);
   typename TypeParam::Session session(cfg);
   using Backend = std::remove_reference_t<decltype(session.backend())>;
@@ -281,7 +282,39 @@ void differential(ServeConfig base) {
   }
 }
 
-TEST(PumpInline, FlatInlineRoundsMatchTheTeam) { differential<ServeSession>(ServeConfig{}); }
+TEST(PumpInline, OnePartIsDeterministicAtAnyTeamSize) {
+  // One shard is one part, and a team over one part has one worker, so
+  // the pump never forks: every op — contested writes included — returns
+  // the same (value, won, round) whatever exec_threads says.
+  for (const std::uint64_t max_batch : {kInlineRoundOps / 16, 2 * kInlineRoundOps}) {
+    SCOPED_TRACE(testing::Message() << "max_batch " << max_batch);
+    const Mixed m = mixed_stream(0xC0FFEE + max_batch, 4 * max_batch, 3);
+    const ServeConfig base =
+        ServeConfig{}.with_max_batch(max_batch).with_max_wait_us(1'000'000);
+    const std::vector<Result> serial = run_mixed<ServeSession>(base.with_exec_threads(1), m);
+    const std::vector<Result> team = run_mixed<ServeSession>(base.with_exec_threads(4), m);
+    ASSERT_EQ(serial.size(), m.ops.size());
+    ASSERT_EQ(team.size(), m.ops.size());
+    expect_one_winner_per_key_round(m, serial, "serial");
+    expect_one_winner_per_key_round(m, team, "team");
+
+    const auto groups = write_groups(m, serial);
+    std::size_t contested = 0;
+    std::size_t mismatched = 0;
+    std::size_t first_mismatch = 0;
+    for (std::size_t i = 0; i < m.ops.size(); ++i) {
+      if (m.ops[i].kind != OpKind::kLookup &&
+          groups.at({m.ops[i].key, serial[i].round}).size() > 1) {
+        ++contested;
+      }
+      const bool same = serial[i].value == team[i].value && serial[i].won == team[i].won &&
+                        serial[i].round == team[i].round;
+      if (!same && mismatched++ == 0) first_mismatch = i;
+    }
+    EXPECT_GT(contested, 0u);  // the stream did collide
+    EXPECT_EQ(mismatched, 0u) << "first at op " << first_mismatch;
+  }
+}
 
 TEST(PumpInline, ShardedInlineRoundsMatchTheTeam) {
   differential<ShardedServeSession>(ServeConfig{}.with_shards(4));

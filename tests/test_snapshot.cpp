@@ -126,6 +126,34 @@ TEST(Snapshot, CheckpointRestoreRoundTripBatch) {
   EXPECT_GT(fresh.call(Op::upsert(7, 1)).round, cut->round);
 }
 
+TEST(Snapshot, DefaultSessionKeepsTheFlatHeaderShape) {
+  // A default ServeSession is the one-shard KV backend; its snapshot
+  // headers must carry the shape flat single-table servers always wrote,
+  // so checkpoints taken by those servers still restore.
+  const std::uint64_t flat_digest = ds::mix64(kKindKv + 1) ^ ds::mix64(1);
+  ServeSession old_session;
+  EXPECT_EQ(old_session.backend().config_digest(), flat_digest);
+  EXPECT_EQ(old_session.backend().snapshot_shards(), 1u);
+  for (std::uint64_t k = 1; k <= 32; ++k) {
+    ASSERT_TRUE(old_session.call(Op::upsert(k, k + 500)).won);
+  }
+
+  const std::string path = temp_dir("flat_shape") + "/rt.crcwsnap";
+  std::string err;
+  const auto cut = checkpoint_sync(old_session.backend(), path, &err);
+  ASSERT_TRUE(cut.has_value()) << err;
+  SnapshotReader reader(path);
+  ASSERT_TRUE(reader.open()) << reader.error();
+  EXPECT_EQ(reader.header().kind, kKindKv);
+  EXPECT_EQ(reader.header().shards, 1u);
+  EXPECT_EQ(reader.header().config_digest, flat_digest);
+
+  ServeSession fresh;
+  ASSERT_TRUE(restore(fresh.backend(), path, &err)) << err;
+  EXPECT_EQ(scan_digest(fresh.backend()).digest, scan_digest(old_session.backend()).digest);
+  for (std::uint64_t k = 1; k <= 32; ++k) EXPECT_EQ(fresh.call(Op::lookup(k)).value, k + 500);
+}
+
 TEST(Snapshot, CheckpointRestoreRoundTripSharded) {
   const std::string path = temp_dir("sharded") + "/rt.crcwsnap";
   const ServeConfig cfg = ServeConfig{}.with_shards(4);
@@ -246,7 +274,7 @@ TEST(Snapshot, CheckpointerPublishesInBackgroundAndIsReusable) {
   for (std::uint64_t k = 0; k < 32; ++k) {
     ASSERT_TRUE(session.call(Op::upsert(k + 1, k)).won);
   }
-  Checkpointer<serve::BatchScheduler> ckpt(session.backend(), dir);
+  Checkpointer<serve::ShardedScheduler> ckpt(session.backend(), dir);
   std::string err;
   const auto cut = ckpt.begin(&err);
   ASSERT_TRUE(cut.has_value()) << err;
@@ -283,7 +311,7 @@ TEST(Snapshot, WireCreateWithoutConfiguredDirRefusesButScanAnswers) {
   ServeSession session;  // no with_snapshot_dir
   ASSERT_TRUE(session.call(Op::upsert(3, 33)).won);
   session.start_pump();
-  serve::BasicWireServer<serve::BatchScheduler> server(session, serve::WireConfig{});
+  serve::BasicWireServer<serve::ShardedScheduler> server(session, serve::WireConfig{});
   server.start();
   serve::WireClient client("127.0.0.1", server.port());
   EXPECT_FALSE(client.snapshot_create().won) << "no dir → create disabled";
