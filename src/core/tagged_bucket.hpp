@@ -11,7 +11,8 @@
 // contract of paper §5 applied to the insert race of a concurrent hash
 // table (see src/ds/).
 //
-// The bucket pairs that claim word with a LiveTag so that, once a key owns
+// ClaimWord is that claim word alone — the whole bucket of a payload-free
+// table. TaggedBucket pairs it with a LiveTag so that, once a key owns
 // the bucket, per-round value writes keep using paper-faithful CAS-LT (one
 // winner per key per round; the value itself is barrier-published like
 // ConWriteCell's payload). The LiveTag extends the RoundTag with one
@@ -146,27 +147,30 @@ class LiveTag {
 
 static_assert(sizeof(LiveTag) == sizeof(std::uint64_t));
 
-/// One concurrent-write-arbitrated hash bucket: an atomically claimable key
-/// plus a LiveTag guarding per-round writes (and erases) of whatever
-/// payload the embedding table stores beside it. Key must be an unsigned
-/// integer; the all-ones value is reserved as the empty sentinel.
+/// The bucket-ownership word: an atomically claimable key. Key must be an
+/// unsigned integer; the all-ones value is reserved as the empty sentinel.
+/// This is the whole bucket of a payload-free table (ConcurrentHashSet).
 template <typename Key>
   requires std::unsigned_integral<Key>
-class TaggedBucket {
+class ClaimWord {
  public:
   static constexpr Key kEmptyKey = std::numeric_limits<Key>::max();
 
-  TaggedBucket() noexcept = default;
-  TaggedBucket(const TaggedBucket&) = delete;
-  TaggedBucket& operator=(const TaggedBucket&) = delete;
+  ClaimWord() noexcept = default;
+  ClaimWord(const ClaimWord&) = delete;
+  ClaimWord& operator=(const ClaimWord&) = delete;
 
   /// One-shot arbitration for bucket ownership: at most one CAS, wait-free.
   /// kWon means this call transitioned empty → k; the caller owns any
   /// non-atomic payload initialisation that follows (publish it with the
-  /// step barrier, exactly like a ConWriteCell winner).
-  BucketClaim claim(Key k) noexcept {
+  /// step barrier, exactly like a ConWriteCell winner). `on_cas` runs just
+  /// before the CAS is issued, won or lost — the tables count it as one
+  /// atomic whichever way the race goes.
+  template <typename OnCas>
+  BucketClaim claim(Key k, OnCas&& on_cas) noexcept {
     Key current = key_.load(std::memory_order_acquire);
     if (current == kEmptyKey) {
+      on_cas();
       if (key_.compare_exchange_strong(current, k, std::memory_order_acq_rel,
                                        std::memory_order_acquire)) {
         return BucketClaim::kWon;
@@ -177,6 +181,8 @@ class TaggedBucket {
     return current == k ? BucketClaim::kHeld : BucketClaim::kOther;
   }
 
+  BucketClaim claim(Key k) noexcept { return claim(k, [] {}); }
+
   /// The owning key, or kEmptyKey. An acquire load, so a reader that sees
   /// key k also sees everything the claimer published before the claim —
   /// but payload written *after* a claim is barrier-published, not
@@ -185,6 +191,23 @@ class TaggedBucket {
 
   [[nodiscard]] bool empty() const noexcept { return key() == kEmptyKey; }
 
+  /// Non-concurrent re-initialisation (table reset between runs; the
+  /// migration target of a resize is freshly constructed instead).
+  void reset() noexcept { key_.store(kEmptyKey, std::memory_order_relaxed); }
+
+ private:
+  std::atomic<Key> key_{kEmptyKey};
+};
+
+static_assert(sizeof(ClaimWord<std::uint64_t>) == sizeof(std::uint64_t));
+
+/// One concurrent-write-arbitrated hash bucket: a ClaimWord plus a LiveTag
+/// guarding per-round writes (and erases) of whatever payload the
+/// embedding table stores beside it.
+template <typename Key>
+  requires std::unsigned_integral<Key>
+class TaggedBucket : public ClaimWord<Key> {
+ public:
   /// The per-round value/erase arbitration tag (CAS-LT; see LiveTag).
   [[nodiscard]] LiveTag& tag() noexcept { return tag_; }
   [[nodiscard]] const LiveTag& tag() const noexcept { return tag_; }
@@ -192,17 +215,15 @@ class TaggedBucket {
   /// A claimed bucket whose latest committed write was an erase — the key
   /// word stays claimed (probe chains must keep walking through it), only
   /// the entry is gone.
-  [[nodiscard]] bool dead() const noexcept { return !empty() && !tag_.live(); }
+  [[nodiscard]] bool dead() const noexcept { return !this->empty() && !tag_.live(); }
 
-  /// Non-concurrent re-initialisation (table reset between runs; the
-  /// migration target of a resize is freshly constructed instead).
+  /// Non-concurrent re-initialisation of both words.
   void reset() noexcept {
-    key_.store(kEmptyKey, std::memory_order_relaxed);
+    ClaimWord<Key>::reset();
     tag_.reset();
   }
 
  private:
-  std::atomic<Key> key_{kEmptyKey};
   LiveTag tag_;
 };
 

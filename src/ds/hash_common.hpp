@@ -1,7 +1,7 @@
 // Shared vocabulary of the ds/ hash tables: the key mixer, probe/capacity
 // arithmetic, sharded size counters, and the telemetry knob.
 //
-// Layering: ds/ sits on core/ (TaggedBucket, RoundTag, SlotAllocator) and
+// Layering: ds/ sits on core/ (ClaimWord, TaggedBucket, SlotAllocator) and
 // util/, and reports into obs/ the same way the arbiters do — through a
 // ContentionSite, so table probes/migrations land in the same
 // MetricsRegistry snapshots and BENCH_*.json counters as the CW kernels.
@@ -31,9 +31,8 @@ namespace crcw::ds {
   return x ^ (x >> 31);
 }
 
-/// Seeded variant: used when a table rehashes into a different bucket
-/// permutation (DHash's "change the hash function" move) and by the
-/// avalanche test to decorrelate streams.
+/// Seeded variant, for decorrelating key streams (test_rng.cpp's avalanche
+/// test). No table uses it: every table homes keys with the unseeded mix64.
 [[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x, std::uint64_t seed) noexcept {
   return mix64(x + 0x9e3779b97f4a7c15ull * seed);
 }
@@ -313,8 +312,11 @@ class ShardedCounter {
 ///              workload a lower attempts count at unchanged CAS/win
 ///              counts is the SIMD saving; attempts/wins = mean verified
 ///              probe length)
-///   atomics    claim/tag CASes issued
-///   wins       inserts that committed a new key
+///   atomics    RMWs issued, won or lost; open tables: claim CASes (the
+///              migration sweep's included), LiveTag CASes, dead-bit RMWs
+///   wins       RMWs that made a key live; open tables: won claims outside
+///              migration, won revives (set bit clear, map mark_live or a
+///              round write over a tombstone)
 ///   refills    chunk claims (migration sweeps, chained node grants)
 ///   reset_tags buckets migrated by resize sweeps
 ///   tombstones erase commits (one CAS each; the churn benches divide by

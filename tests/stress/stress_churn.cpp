@@ -84,6 +84,17 @@ TEST(StressChurn, MapMixedOpsOneWinnerAcrossReclaims) {
           map.grow_finish();
           ASSERT_EQ(map.tombstones(), 0u);
           ASSERT_EQ(map.occupied(), map.size());
+          // The reclaim sized the table for the live keys alone, but the
+          // next round claims every key again (erasing an absent key
+          // claims its bucket too): grow back to room for all of them, as
+          // the serve pumps' backlog grow does, with tid 0 as the only
+          // helper. Otherwise a round-16 tally of <= 16 live keys leaves
+          // 32 buckets for 48 claims and the round ends kFull.
+          while (map.bucket_count() * map.config().max_load < static_cast<double>(kKeys)) {
+            map.grow_prepare();
+            map.grow_help();
+            map.grow_finish();
+          }
         }
         sync.arrive_and_wait();
       }

@@ -293,6 +293,120 @@ TEST(HashProbe, FullTableReportsKFullInBothModes) {
   }
 }
 
+// -- one core: the set and the map build the same table ----------------------
+
+/// Asserts that a set and a map fed the same key stream hold the same
+/// table: geometry, counts, every key's bucket, every control byte, and
+/// the probe-path telemetry the shared claim/read walks produce.
+void expect_same_table(Set& set, Map& map, const std::vector<std::uint64_t>& keys,
+                       const char* phase) {
+  SCOPED_TRACE(phase);
+  ASSERT_EQ(set.bucket_count(), map.bucket_count());
+  EXPECT_EQ(set.size(), map.size());
+  EXPECT_EQ(set.tombstones(), map.tombstones());
+  for (const std::uint64_t k : keys) {
+    ASSERT_EQ(set.debug_bucket_of(k), map.debug_bucket_of(k)) << "key " << k;
+    ASSERT_EQ(set.contains(k), map.find(k) != nullptr) << "key " << k;
+  }
+  for (std::uint64_t i = 0; i < set.bucket_count(); ++i) {
+    ASSERT_EQ(set.debug_ctrl(i), map.debug_ctrl(i)) << "bucket " << i;
+  }
+  const obs::ContentionTotals s = set.telemetry().site()->totals();
+  const obs::ContentionTotals m = map.telemetry().site()->totals();
+  EXPECT_EQ(s.attempts, m.attempts);
+  EXPECT_EQ(s.atomics, m.atomics);
+  EXPECT_EQ(s.wins, m.wins);
+  EXPECT_EQ(s.group_loads, m.group_loads);
+  EXPECT_EQ(s.fingerprint_fps, m.fingerprint_fps);
+}
+
+/// One seeded stream through both tables: inserts, erases of present keys,
+/// revives, a grow, more churn, then a reclaim — checked after each phase.
+void replay_through_set_and_map(bool group, std::uint64_t capacity) {
+  Set set(capacity, probing(group, /*telemetry=*/true));
+  Map map(capacity, probing(group, /*telemetry=*/true));
+  util::Xoshiro256 rng(capacity * 2 + (group ? 1 : 0));
+  std::vector<std::uint64_t> keys;  // every key ever inserted
+  std::vector<std::uint64_t> live;
+  std::vector<std::uint64_t> dead;
+  round_t round = 0;
+  const auto take = [&rng](std::vector<std::uint64_t>& from) {
+    const std::size_t i = rng.bounded(from.size());
+    const std::uint64_t k = from[i];
+    from[i] = from.back();
+    from.pop_back();
+    return k;
+  };
+  const auto insert_new = [&] {
+    std::uint64_t k = rng.next();
+    if (k == Set::kEmptyKey) k = 0;
+    const SetInsert r = set.insert(k);
+    ASSERT_EQ(r, map.insert_first(k, k));
+    if (r == SetInsert::kInserted) {
+      keys.push_back(k);
+      live.push_back(k);
+    }
+  };
+  const auto erase_live = [&] {
+    const std::uint64_t k = take(live);
+    ASSERT_TRUE(set.erase(k));
+    ASSERT_EQ(map.erase(++round, k), MapUpsert::kWon);
+    dead.push_back(k);
+  };
+  const auto revive = [&] {
+    const std::uint64_t k = take(dead);
+    ASSERT_EQ(set.insert(k), SetInsert::kInserted);
+    ASSERT_EQ(map.insert_first(k, k), SetInsert::kInserted);
+    live.push_back(k);
+  };
+  // Keeps claimed buckets at <= 3/4 of the table, so no walk reports kFull.
+  const auto churn = [&](int ops) {
+    for (int op = 0; op < ops; ++op) {
+      const bool room = set.occupied() < set.bucket_count() * 3 / 4;
+      const std::uint64_t pick = rng.bounded(3);
+      if (pick == 0 && room) {
+        insert_new();
+      } else if (pick == 1 && !live.empty()) {
+        erase_live();
+      } else if (!dead.empty()) {
+        revive();
+      }
+    }
+  };
+
+  const std::uint64_t fill = set.bucket_count() * 5 / 8;
+  for (std::uint64_t i = 0; i < fill; ++i) insert_new();
+  expect_same_table(set, map, keys, "insert");
+  for (std::size_t n = live.size() / 2; n > 0; --n) erase_live();
+  ASSERT_GT(set.tombstones(), 0u);
+  expect_same_table(set, map, keys, "erase");
+  for (std::size_t n = dead.size() / 2; n > 0; --n) revive();
+  expect_same_table(set, map, keys, "revive");
+  set.grow_parallel(1);
+  map.grow_parallel(1);
+  expect_same_table(set, map, keys, "grow");
+  churn(static_cast<int>(set.bucket_count()));
+  expect_same_table(set, map, keys, "churn");
+  set.reclaim_parallel(1);
+  map.reclaim_parallel(1);
+  EXPECT_EQ(set.tombstones(), 0u);
+  expect_same_table(set, map, keys, "reclaim");
+  if (group && capacity >= 128) {  // the walks did take the group path
+    EXPECT_GT(set.telemetry().site()->totals().group_loads, 0u);
+  }
+}
+
+TEST(HashProbe, SetAndMapBuildTheSameTable) {
+  for (const bool group : {true, false}) {
+    // 8 buckets starts on the scalar fallback (below one group); 256
+    // buckets walks groups from the first insert when group is on.
+    for (const std::uint64_t capacity : {4u, 128u}) {
+      SCOPED_TRACE(testing::Message() << "group=" << group << " capacity=" << capacity);
+      replay_through_set_and_map(group, capacity);
+    }
+  }
+}
+
 // -- telemetry batching ------------------------------------------------------
 
 TEST(HashProbe, WalkTelemetryBatchesAndFeedsHistogram) {

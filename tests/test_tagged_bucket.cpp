@@ -43,6 +43,23 @@ TEST(TaggedBucket, NarrowKeysUseTheirOwnSentinel) {
   EXPECT_EQ(b.claim(0xFFFF'FFFEu), BucketClaim::kWon);  // max-1 is a real key
 }
 
+TEST(ClaimWord, CasHookFiresOncePerIssuedCas) {
+  // The tables count one atomic per claim CAS through this hook, so it
+  // must fire exactly when a CAS is issued: on an empty word, never on a
+  // claimed one (those classify from the load alone).
+  ClaimWord<std::uint64_t> w;
+  int issued = 0;
+  const auto count = [&issued] { ++issued; };
+  EXPECT_EQ(w.claim(7, count), BucketClaim::kWon);
+  EXPECT_EQ(issued, 1);
+  EXPECT_EQ(w.claim(7, count), BucketClaim::kHeld);
+  EXPECT_EQ(w.claim(9, count), BucketClaim::kOther);
+  EXPECT_EQ(issued, 1);
+  w.reset();
+  EXPECT_TRUE(w.empty());
+  EXPECT_EQ(w.claim(9), BucketClaim::kWon);
+}
+
 TEST(TaggedBucket, ClaimThenTagComposeIndependently) {
   // The two arbitrations are separate: losing the claim does not bar a
   // thread from winning the round's value write on that bucket.
