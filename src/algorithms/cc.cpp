@@ -2,9 +2,10 @@
 
 #include <omp.h>
 
+#include <algorithm>
 #include <atomic>
+#include <span>
 #include <stdexcept>
-#include <unordered_set>
 #include <vector>
 
 #include "core/arbiter.hpp"
@@ -21,9 +22,6 @@ using graph::vertex_t;
 constexpr edge_t kNoEdge = static_cast<edge_t>(-1);
 
 /// Relaxed atomic views over the raced arrays (see bfs.cpp for rationale).
-inline vertex_t load_v(const vertex_t& cell) noexcept {
-  return std::atomic_ref<const vertex_t>(cell).load(std::memory_order_relaxed);
-}
 inline void store_v(vertex_t& cell, vertex_t value) noexcept {
   std::atomic_ref<vertex_t>(cell).store(value, std::memory_order_relaxed);
 }
@@ -34,47 +32,55 @@ inline void store_b(std::uint8_t& cell, std::uint8_t value) noexcept {
   std::atomic_ref<std::uint8_t>(cell).store(value, std::memory_order_relaxed);
 }
 
-/// Flat directed edge arrays — "parallelizing across all edges to perform
-/// the hooking step" (§7.2).
-struct FlatEdges {
-  std::vector<vertex_t> src;
-  std::vector<vertex_t> dst;
+/// Rows per dynamically scheduled block of a row walk: rows differ in
+/// length, so equal vertex ranges per thread would give unequal work.
+constexpr int kRowBlock = 512;
 
-  explicit FlatEdges(const Csr& g) {
-    src.resize(g.num_edges());
-    dst.resize(g.num_edges());
-    edge_t j = 0;
-    for (vertex_t u = 0; u < g.num_vertices(); ++u) {
-      for (const vertex_t v : g.neighbors(u)) {
-        src[j] = u;
-        dst[j] = v;
-        ++j;
-      }
-    }
+/// Calls row(u, first, last) on every CSR row u and its slots [first, last)
+/// — "parallelizing across all edges" (§7.2) grouped by source, so a row
+/// reads its source's state once and can skip itself whole. True when any
+/// row returned true.
+template <typename Row>
+bool walk_rows(const Csr& g, int threads, Row&& row) {
+  const std::span<const edge_t> offsets = g.offsets();
+  const auto rows = static_cast<std::int64_t>(g.num_vertices());
+  std::uint8_t any_change = 0;
+#pragma omp parallel for num_threads(threads) schedule(dynamic, kRowBlock) \
+    reduction(| : any_change)
+  for (std::int64_t u = 0; u < rows; ++u) {
+    if (row(static_cast<vertex_t>(u), offsets[u], offsets[u + 1])) any_change = 1;
   }
-};
+  return any_change != 0;
+}
 
 /// Star detection (A-S); correct for arbitrary forest depth:
 ///   1. star[v] = true
 ///   2. v with a grandparent ≠ parent marks itself, its parent and its
-///      grandparent non-star (common CWs of `false`)
+///      grandparent non-star (common CWs of `false`, read before written)
 ///   3. star[v] = star[P[v]] pulls the root's verdict down to depth-1
-///      children (the phase-3 read race is benign: both readable values
-///      are already correct — see tests/test_cc.cpp star-detection suite).
+///      children (the phase-3 read race is benign: a root's cell does not
+///      change in phase 3, and a non-root parent's cell is 0 before and
+///      after its own copy, since step 2 cleared it and its parent).
 void detect_stars(const std::vector<vertex_t>& parent, std::vector<std::uint8_t>& star,
                   int threads) {
   const auto n = static_cast<std::int64_t>(parent.size());
 #pragma omp parallel for num_threads(threads) schedule(static)
   for (std::int64_t v = 0; v < n; ++v) star[static_cast<std::size_t>(v)] = 1;
 
+  // CAS-LT's own rule for the common writes: read first and skip a write
+  // already done, so a root's cell stays shared instead of bouncing
+  // between the cores of all its grandchildren.
+  const auto clear = [&star](vertex_t cell) {
+    if (load_b(star[cell]) != 0) store_b(star[cell], 0);
+  };
 #pragma omp parallel for num_threads(threads) schedule(static)
   for (std::int64_t v = 0; v < n; ++v) {
     const vertex_t p = parent[static_cast<std::size_t>(v)];
     const vertex_t gp = parent[p];
     if (p != gp) {
-      store_b(star[static_cast<std::size_t>(v)], 0);
-      store_b(star[p], 0);
-      store_b(star[gp], 0);
+      clear(static_cast<vertex_t>(v));
+      clear(p);
+      clear(gp);
     }
   }
 
@@ -85,9 +91,16 @@ void detect_stars(const std::vector<vertex_t>& parent, std::vector<std::uint8_t>
   }
 }
 
-std::uint64_t count_labels(const std::vector<vertex_t>& label) {
-  std::unordered_set<vertex_t> roots(label.begin(), label.end());
-  return roots.size();
+/// Distinct labels, counted as roots: exact once pointer jumping has
+/// converged, because every vertex then points at a root.
+std::uint64_t count_roots(const std::vector<vertex_t>& parent, int threads) {
+  const auto n = static_cast<std::int64_t>(parent.size());
+  std::uint64_t roots = 0;
+#pragma omp parallel for num_threads(threads) schedule(static) reduction(+ : roots)
+  for (std::int64_t v = 0; v < n; ++v) {
+    if (parent[static_cast<std::size_t>(v)] == static_cast<vertex_t>(v)) ++roots;
+  }
+  return roots;
 }
 
 }  // namespace
@@ -103,9 +116,6 @@ CcResult cc_kernel(const Csr& g, const CcOptions& opts) {
   CcResult result;
   result.label.resize(n);
   if (n == 0) return result;
-
-  const FlatEdges edges(g);
-  const auto ecount = static_cast<std::int64_t>(edges.src.size());
 
   std::vector<vertex_t>& parent = result.label;  // P[], doubles as the output
   std::vector<vertex_t> snapshot(n);             // pre-substep P (PRAM read set)
@@ -137,6 +147,37 @@ CcResult cc_kernel(const Csr& g, const CcOptions& opts) {
     }
   };
 
+  // One hooking substep = one arbitrary-CW round: a star's root pu races
+  // to hook onto pv = P[v] over every edge (u, v) with hooks(pu, pv). A
+  // row whose tree is no star cannot hook and is skipped whole; in a star's
+  // row every qualifying edge still attempts, even once pu is taken — the
+  // attempt set, and so the contention, is the paper's edge-parallel one.
+  const std::span<const vertex_t> targets = g.targets();
+  const auto hook_round = [&](auto hooks) {
+    take_snapshot();
+    // The gatekeeper re-initialisation sweep, once per hooking substep —
+    // the recurring Θ(N) cost CAS-LT does not pay (§6); sparse mode sweeps
+    // only the tags last substep's winning hooks touched.
+    reset_tags();
+    auto scope = arbiter.next_round(ResetMode::kCaller);
+    return walk_rows(g, threads, [&](vertex_t u, edge_t first, edge_t last) {
+      if (star[u] == 0) return false;
+      const vertex_t pu = snapshot[u];
+      bool hooked = false;
+      for (edge_t j = first; j < last; ++j) {
+        const vertex_t pv = snapshot[targets[j]];
+        if (hooks(pu, pv) && scope.acquire(pu)) {
+          // The multi-array hook update of §7.2: new parent + hook edge
+          // must come from ONE winning edge, or the pair is inconsistent.
+          store_v(parent[pu], pv);
+          hook_edge[pu] = j;
+          hooked = true;
+        }
+      }
+      return hooked;
+    });
+  };
+
   // Safety net for implementation bugs: A-S converges in O(log n)
   // iterations; exceeding a generous multiple means non-convergence.
   std::uint64_t max_iters = 16;
@@ -155,31 +196,7 @@ CcResult cc_kernel(const Csr& g, const CcOptions& opts) {
     detect_stars(parent, star, threads);
 
     // --- 2. conditional star hooking (one arbitrary-CW round) --------------
-    take_snapshot();
-    // The gatekeeper re-initialisation sweep, once per hooking substep —
-    // the recurring Θ(N) cost CAS-LT does not pay (§6); sparse mode sweeps
-    // only the tags last substep's winning hooks touched.
-    reset_tags();
-    {
-      auto scope = arbiter.next_round(ResetMode::kCaller);
-#pragma omp parallel for num_threads(threads) schedule(static) \
-    reduction(| : any_change)
-      for (std::int64_t j = 0; j < ecount; ++j) {
-        const vertex_t u = edges.src[static_cast<std::size_t>(j)];
-        const vertex_t v = edges.dst[static_cast<std::size_t>(j)];
-        const vertex_t pu = snapshot[u];
-        const vertex_t pv = snapshot[v];
-        if (star[u] != 0 && pv < pu) {
-          if (scope.acquire(pu)) {
-            // The multi-array hook update of §7.2: new parent + hook edge
-            // must come from ONE winning edge, or the pair is inconsistent.
-            store_v(parent[pu], pv);
-            hook_edge[pu] = static_cast<edge_t>(j);
-            any_change = 1;
-          }
-        }
-      }
-    }
+    if (hook_round([](vertex_t pu, vertex_t pv) { return pv < pu; })) any_change = 1;
 
     // --- 3. star detection on the hooked forest ----------------------------
     detect_stars(parent, star, threads);
@@ -199,26 +216,10 @@ CcResult cc_kernel(const Csr& g, const CcOptions& opts) {
     //     merges in a later round once pointer jumping exposes the
     //     neighbouring root (downward merges belong to the conditional
     //     phase by construction).
-    take_snapshot();
-    reset_tags();
-    {
-      auto scope = arbiter.next_round(ResetMode::kCaller);
-#pragma omp parallel for num_threads(threads) schedule(static) \
-    reduction(| : any_change)
-      for (std::int64_t j = 0; j < ecount; ++j) {
-        const vertex_t u = edges.src[static_cast<std::size_t>(j)];
-        const vertex_t v = edges.dst[static_cast<std::size_t>(j)];
-        const vertex_t pu = snapshot[u];
-        const vertex_t pv = snapshot[v];
-        if (star[u] != 0 && pv > pu && snapshot[pv] == pv) {
-          if (scope.acquire(pu)) {
-            store_v(parent[pu], pv);
-            hook_edge[pu] = static_cast<edge_t>(j);
-            any_change = 1;
-          }
-        }
-      }
-    }
+    const auto onto_settled_root = [&](vertex_t pu, vertex_t pv) {
+      return pv > pu && snapshot[pv] == pv;
+    };
+    if (hook_round(onto_settled_root)) any_change = 1;
 
     // --- 5. pointer jumping -------------------------------------------------
     take_snapshot();
@@ -236,7 +237,7 @@ CcResult cc_kernel(const Csr& g, const CcOptions& opts) {
   }
 
   result.iterations = iterations;
-  result.components = count_labels(result.label);
+  result.components = count_roots(result.label, threads);
   // A root is hooked at most once in its lifetime (a hooked root never
   // becomes a root again), so the per-root hook records are final and
   // together form the spanning forest: one edge per merged tree.
@@ -289,11 +290,9 @@ CcResult cc_min_hook(const Csr& g, const CcOptions& opts) {
   result.label.resize(n);
   if (n == 0) return result;
 
-  const FlatEdges edges(g);
-  const auto ecount = static_cast<std::int64_t>(edges.src.size());
-
   std::vector<vertex_t>& parent = result.label;
   std::vector<vertex_t> snapshot(n);
+  const std::span<const vertex_t> targets = g.targets();
 
 #pragma omp parallel for num_threads(threads) schedule(static)
   for (std::int64_t v = 0; v < vcount; ++v) {
@@ -324,17 +323,18 @@ CcResult cc_min_hook(const Csr& g, const CcOptions& opts) {
     // invariant and the forest can never form a cycle, whatever the
     // interleaving — monotonicity replaces A-S's star machinery.
     take_snapshot();
-#pragma omp parallel for num_threads(threads) schedule(static) \
-    reduction(| : any_change)
-    for (std::int64_t j = 0; j < ecount; ++j) {
-      const vertex_t pu = snapshot[edges.src[static_cast<std::size_t>(j)]];
-      const vertex_t pv = snapshot[edges.dst[static_cast<std::size_t>(j)]];
-      if (pu == pv) continue;
-      const vertex_t lo = pu < pv ? pu : pv;
-      const vertex_t hi = pu < pv ? pv : pu;
-      std::atomic_ref<vertex_t> cell(parent[hi]);
-      if (atomic_fetch_min(cell, lo)) any_change = 1;
-    }
+    const auto lower = [&](vertex_t u, edge_t first, edge_t last) {
+      const vertex_t pu = snapshot[u];
+      bool any = false;
+      for (edge_t j = first; j < last; ++j) {
+        const vertex_t pv = snapshot[targets[j]];
+        if (pu == pv) continue;
+        std::atomic_ref<vertex_t> cell(parent[std::max(pu, pv)]);
+        if (atomic_fetch_min(cell, std::min(pu, pv))) any = true;
+      }
+      return any;
+    };
+    if (walk_rows(g, threads, lower)) any_change = 1;
 
     // Full pointer compression: jump until every pointer is a fixpoint.
     bool compressing = true;
@@ -358,7 +358,7 @@ CcResult cc_min_hook(const Csr& g, const CcOptions& opts) {
   }
 
   result.iterations = iterations;
-  result.components = count_labels(result.label);
+  result.components = count_roots(result.label, threads);
   return result;
 }
 

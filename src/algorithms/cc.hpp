@@ -24,6 +24,18 @@
 // Requiring P[v] < P[u] in step 2 orients conditional hooks downward, so the
 // forest stays acyclic; unconditional hooking is restricted to stars that
 // survived step 3, which cannot have been hooked in this iteration.
+//
+// Around the writes, the kernel keeps its own work small:
+//   * Both hooking steps walk the CSR rows in dynamically scheduled blocks
+//     (rows differ in length). A row loads star[u] and P[u] once and is
+//     skipped whole when u's tree is not a star, since it cannot hook.
+//   * The attempt set is unchanged: in a star's row every edge that meets
+//     the hooking condition still calls acquire(P[u]), even after the root
+//     is taken, so each round sees the same attempts on the same targets as
+//     an edge-parallel loop — the contention Figures 10–12 measure.
+//   * Star detection reads a cell before its common write of `false` and
+//     skips the store when the cell is already false — CAS-LT's own rule —
+//     so a root's cell is not bounced between the cores of its grandchildren.
 #pragma once
 
 #include <cstdint>

@@ -37,9 +37,8 @@ TEST(StressChurn, MapMixedOpsOneWinnerAcrossReclaims) {
   ds::ConcurrentHashMap<std::uint64_t, std::uint64_t> map(kKeys);
   std::vector<std::atomic<int>> winners(kKeys);
   std::vector<std::atomic<int>> erase_won(kKeys);
-  std::barrier sync(threads);
 
-  run_threads(threads, [&](int tid) {
+  run_barrier_threads(threads, [&](int tid, std::barrier<>& sync) {
     for (round_t r = 1; r <= rounds; ++r) {
       for (std::uint64_t k = 0; k < kKeys; ++k) {
         // Parity split over (tid, r, k): both op kinds contend on every
@@ -117,9 +116,8 @@ TEST(StressChurn, SetBucketCountStaysBoundedUnderLockstepChurn) {
   const std::uint64_t band = set.bucket_count() * 4;
   std::atomic<std::uint64_t> erased{0};
   std::uint64_t max_buckets = 0;  // tid 0 only, barrier-separated
-  std::barrier sync(threads);
 
-  run_threads(threads, [&](int tid) {
+  run_barrier_threads(threads, [&](int tid, std::barrier<>& sync) {
     for (round_t r = 1; r <= rounds; ++r) {
       // Phase 0 (serial): size the table for this round's batch — the
       // backlog-grow decision, cooperatively swept. After a shrink the
@@ -191,8 +189,7 @@ TEST(StressChurn, ChainedEraseOneWinnerAndArenaRecycles) {
   ds::ChainedHashSet<> set(arena_cap, threads);
   std::atomic<std::uint64_t> erased{0};
 
-  std::barrier sync(threads);
-  run_threads(threads, [&](int tid) {
+  run_barrier_threads(threads, [&](int tid, std::barrier<>& sync) {
     for (round_t r = 1; r <= rounds; ++r) {
       // Phase 1: every thread offers the same window → maximal Treiber
       // push + self-tombstone dedup contention.

@@ -55,6 +55,21 @@ void run_threads(int threads, Body&& body) {
   for (auto& th : pool) th.join();
 }
 
+/// Runs body(tid, sync) on `threads` raw std::threads that share the
+/// std::barrier `sync`, and joins them. A thread drops out of the barrier
+/// when its body returns, also early: a failed ASSERT_* returns from the
+/// body, and without the drop the other threads would wait for it at their
+/// next arrive_and_wait forever — a hung binary instead of a printed
+/// failure.
+template <typename Body>
+void run_barrier_threads(int threads, Body&& body) {
+  std::barrier sync(threads);
+  run_threads(threads, [&](int tid) {
+    body(tid, sync);
+    sync.arrive_and_drop();
+  });
+}
+
 /// PRAM lock-step driver. Per round r in [1, rounds]:
 ///   1. every thread runs step(tid, r)         (the parallel CW step)
 ///   2. all threads meet at a barrier          (the synchronisation point)

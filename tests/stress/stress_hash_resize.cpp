@@ -38,9 +38,8 @@ TEST(StressHashResize, OpenSetGrowsUnderLockstepInserts) {
   // Sized for exactly one round: every later round depends on the grows.
   ds::ConcurrentHashSet<> set(round_size, cfg);
   std::atomic<std::uint64_t> inserted{0};
-  std::barrier sync(threads);
 
-  run_threads(threads, [&](int tid) {
+  run_barrier_threads(threads, [&](int tid, std::barrier<>& sync) {
     for (int r = 0; r < rounds; ++r) {
       // Phase 1: disjoint key ranges, so every insert must win.
       const std::uint64_t base =
@@ -95,9 +94,8 @@ TEST(StressHashResize, MapUpsertOneWinnerPerKeyAcrossGrows) {
 
   ds::ConcurrentHashMap<std::uint64_t, std::uint64_t> map(kKeys);
   std::vector<std::atomic<int>> winners(kKeys);
-  std::barrier sync(threads);
 
-  run_threads(threads, [&](int tid) {
+  run_barrier_threads(threads, [&](int tid, std::barrier<>& sync) {
     for (round_t r = 1; r <= rounds; ++r) {
       for (std::uint64_t k = 0; k < kKeys; ++k) {
         if (map.upsert(r, k, r * 1000 + static_cast<std::uint64_t>(tid)) ==

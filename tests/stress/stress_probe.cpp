@@ -39,11 +39,10 @@ TEST(StressProbe, SetSharedWindowChurnGroupOnAndOff) {
 
   for (const bool group : {true, false}) {
     ds::ConcurrentHashSet<> set(window * 4, probe_cfg(group));
-    std::barrier sync(threads);
     std::atomic<std::uint64_t> insert_wins{0};
     std::atomic<std::uint64_t> erase_wins{0};
 
-    run_threads(threads, [&](int tid) {
+    run_barrier_threads(threads, [&](int tid, std::barrier<>& sync) {
       for (int r = 0; r < rounds; ++r) {
         const std::uint64_t base = static_cast<std::uint64_t>(r) * window / 2;
         // Phase 1: racing inserts over one shared window + racing erases
@@ -108,9 +107,8 @@ TEST(StressProbe, MapOneWinnerPerKeyRoundAcrossSidecarRebuilds) {
   for (const bool group : {true, false}) {
     ds::ConcurrentHashMap<std::uint64_t, std::uint64_t> map(kKeys, probe_cfg(group));
     std::vector<std::atomic<int>> winners(kKeys);
-    std::barrier sync(threads);
 
-    run_threads(threads, [&](int tid) {
+    run_barrier_threads(threads, [&](int tid, std::barrier<>& sync) {
       for (round_t r = 1; r <= rounds; ++r) {
         for (std::uint64_t k = 0; k < kKeys; ++k) {
           // Erase and upsert contend on the same (key, round) tag — the
