@@ -1,17 +1,17 @@
-// Microbenchmark: the probe walk in isolation — group (sidecar) vs scalar
-// (bucket-at-a-time) over one fixed-size ConcurrentHashSet, sweeping load
-// factor, with a churned variant that tombstones half the keys first:
+// Microbenchmark: the group probe walk (16-lane control-byte sidecar) in
+// isolation over one fixed-size ConcurrentHashSet, sweeping load factor,
+// with a churned variant that tombstones half the keys first:
 //
-//   micro_probe/lookup/{group,scalar}  contains() mix (~50% hit rate) over
-//                                      a table filled to m% of its buckets
-//   micro_probe/churn/{group,scalar}   same mix after erasing half the
-//                                      keys — tombstones lengthen every
-//                                      walk until a reclaim, which is
-//                                      exactly the regime the sidecar's
-//                                      16-lane filtering attacks
+//   micro_probe/lookup/group  contains() mix (~50% hit rate) over a table
+//                             filled to m% of its buckets
+//   micro_probe/churn/group   same mix after erasing half the keys —
+//                             tombstones keep their buckets (and their
+//                             fingerprint bytes) until a reclaim, so walks
+//                             stay as long as in the live table while the
+//                             sidecar filters the dead lanes like live ones
 //
 // m carries the fill percentage (the row key has no float axis); n is the
-// bucket count, pinned so both variants walk identical chains. The profile
+// bucket count, pinned so both sweeps walk identical chains. The profile
 // pass replays the same mix through the COUNTED walks (insert of a present
 // key / erase of an absent one — same shapes as contains hit/miss), so the
 // JSON rows carry probes-per-op, group_loads, fingerprint false positives
@@ -38,10 +38,9 @@ using crcw::bench::RowSpec;
 constexpr std::uint64_t kBuckets = 1u << 16;
 constexpr std::uint64_t kProbesPerIter = 1u << 16;
 
-crcw::ds::HashConfig table_cfg(bool group, bool telemetry = false) {
+crcw::ds::HashConfig table_cfg(bool telemetry = false) {
   crcw::ds::HashConfig cfg;
   cfg.max_load = 0.5;  // capacity kBuckets/2 → exactly kBuckets buckets
-  cfg.group_probe = group;
   cfg.telemetry = telemetry;
   cfg.site_name = "micro-probe";
   return cfg;
@@ -84,16 +83,13 @@ const std::vector<std::uint64_t>& cached_probes(std::uint64_t pct, bool churn) {
   return probes;
 }
 
-void bench_probe(benchmark::State& state, const char* sweep, bool group, bool churn) {
+void bench_probe(benchmark::State& state, const char* sweep, bool churn) {
   const auto pct = static_cast<std::uint64_t>(state.range(0));
   const auto& probes = cached_probes(pct, churn);
-  auto set = std::make_unique<crcw::ds::ConcurrentHashSet<>>(kBuckets / 2,
-                                                             table_cfg(group));
+  auto set = std::make_unique<crcw::ds::ConcurrentHashSet<>>(kBuckets / 2, table_cfg());
   const auto live = fill(*set, pct, churn);  // untimed build
-  RowRecorder rec(state, {.series = std::string("micro_probe/") + sweep + "/" +
-                                    (group ? "group" : "scalar"),
-                          .policy = group ? "group" : "scalar",
-                          .baseline = "scalar",
+  RowRecorder rec(state, {.series = std::string("micro_probe/") + sweep + "/group",
+                          .policy = "group",
                           .threads = 1,
                           .n = kBuckets,
                           .m = pct});
@@ -117,7 +113,7 @@ void bench_probe(benchmark::State& state, const char* sweep, bool group, bool ch
     // contains-miss walk. Neither mutates the table.
     crcw::obs::MetricsRegistry local;
     const crcw::obs::ScopedRegistry scoped(local);
-    crcw::ds::ConcurrentHashSet<> counted(kBuckets / 2, table_cfg(group, true));
+    crcw::ds::ConcurrentHashSet<> counted(kBuckets / 2, table_cfg(/*telemetry=*/true));
     (void)fill(counted, pct, churn);
     for (const std::uint64_t k : probes) {
       if (k <= kBuckets) {
@@ -131,10 +127,8 @@ void bench_probe(benchmark::State& state, const char* sweep, bool group, bool ch
   });
 }
 
-void lookup_group(benchmark::State& s) { bench_probe(s, "lookup", true, false); }
-void lookup_scalar(benchmark::State& s) { bench_probe(s, "lookup", false, false); }
-void churn_group(benchmark::State& s) { bench_probe(s, "churn", true, true); }
-void churn_scalar(benchmark::State& s) { bench_probe(s, "churn", false, true); }
+void lookup_group(benchmark::State& s) { bench_probe(s, "lookup", false); }
+void churn_group(benchmark::State& s) { bench_probe(s, "churn", true); }
 
 void load_args(benchmark::internal::Benchmark* b) {
   // Fill percentages; smoke keeps 50 and 70 so a short-chain and a
@@ -147,8 +141,6 @@ void load_args(benchmark::internal::Benchmark* b) {
 }
 
 BENCHMARK(lookup_group)->Apply(load_args);
-BENCHMARK(lookup_scalar)->Apply(load_args);
 BENCHMARK(churn_group)->Apply(load_args);
-BENCHMARK(churn_scalar)->Apply(load_args);
 
 }  // namespace

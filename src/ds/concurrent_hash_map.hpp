@@ -80,7 +80,7 @@ class ConcurrentHashMap
       if (bucket.tag().live()) return r;
       this->telemetry_.cas();
       if (!bucket.tag().mark_live()) return r;  // revive: first flipper wins
-      revived(b, key);
+      revived();
     }
     const util::TsanIgnoreWritesScope published_by_barrier;
     bucket.value = v;
@@ -105,7 +105,7 @@ class ConcurrentHashMap
     Bucket& bucket = this->buckets_[b];
     bool was_live = false;
     if (!acquire_round(bucket, round, /*live=*/true, was_live)) return MapUpsert::kLost;
-    if (!was_live) revived(b, key);
+    if (!was_live) revived();
     Value made = std::forward<Factory>(make)();
     const util::TsanIgnoreWritesScope published_by_barrier;
     bucket.value = std::move(made);
@@ -127,10 +127,7 @@ class ConcurrentHashMap
     if (!acquire_round(this->buckets_[b], round, /*live=*/false, was_live)) {
       return MapUpsert::kLost;
     }
-    if (was_live) {  // live → dead: the round winner publishes the tombstone byte
-      this->dead_.add(1);
-      this->ctrl_[b].store(kCtrlTombstone, std::memory_order_release);
-    }
+    if (was_live) this->dead_.add(1);  // live → dead; the fingerprint byte stays
     this->telemetry_.tombstone();
     return MapUpsert::kWon;
   }
@@ -201,7 +198,6 @@ class ConcurrentHashMap
     if (r == SetInsert::kFull) return false;
     this->buckets_[b].value = v;
     this->buckets_[b].tag().restore(LiveTag::pack(round, /*live=*/true));
-    this->ctrl_[b].store(ctrl_h2(mix64(key)), std::memory_order_release);
     return true;
   }
 
@@ -216,10 +212,10 @@ class ConcurrentHashMap
     return tag.try_acquire(round, live, was_live);
   }
 
-  /// Dead → live, won by this thread's tag RMW: republish the fingerprint.
-  void revived(std::uint64_t b, Key key) {
+  /// Dead → live, won by this thread's tag RMW. The fingerprint byte never
+  /// left, so only the counters move.
+  void revived() {
     this->dead_.sub(1);
-    this->ctrl_[b].store(ctrl_h2(mix64(key)), std::memory_order_release);
     this->telemetry_.win();
   }
 

@@ -54,7 +54,7 @@ class ConcurrentHashSet : public OpenTable<Key, ClaimWord<Key>, ConcurrentHashSe
   /// std::invalid_argument for the reserved sentinel key.
   SetInsert insert(Key key) {
     const auto [r, b] = this->claim(key);
-    return r == SetInsert::kFound ? revive_or_found(b, key) : r;
+    return r == SetInsert::kFound ? revive_or_found(b) : r;
   }
 
   /// Erases `key`: marks its bucket tombstoned. First setter wins —
@@ -90,26 +90,24 @@ class ConcurrentHashSet : public OpenTable<Key, ClaimWord<Key>, ConcurrentHashSe
  private:
   /// Insert tail for a bucket already holding the key: live is a plain
   /// kFound with no RMW; tombstoned races the revive — the first bit
-  /// clearer wins and republishes the fingerprint byte.
-  SetInsert revive_or_found(std::uint64_t b, Key key) {
+  /// clearer wins. The control byte already holds the key's fingerprint
+  /// (erase never touched it), so a revive writes no byte.
+  SetInsert revive_or_found(std::uint64_t b) {
     if (!dead_bits_.test(b)) return SetInsert::kFound;
     this->telemetry_.cas();
     if (!dead_bits_.test_and_reset(b)) return SetInsert::kFound;
     this->dead_.sub(1);
-    this->ctrl_[b].store(ctrl_h2(mix64(key)), std::memory_order_release);
     this->telemetry_.win();
     return SetInsert::kInserted;
   }
 
-  /// Erase tail: first bit-setter wins, and only the winner publishes the
-  /// tombstone byte (a late byte store racing a revive is benign:
-  /// tombstone lanes stay probe candidates).
+  /// Erase tail: first bit-setter wins. The bucket keeps its key and its
+  /// fingerprint byte; only the bit says the key is dead.
   bool commit_tombstone(std::uint64_t b) {
     if (dead_bits_.test(b)) return false;  // already tombstoned: no RMW
     this->telemetry_.cas();
     if (!dead_bits_.test_and_set(b)) return false;  // a racing eraser won
     this->dead_.add(1);
-    this->ctrl_[b].store(kCtrlTombstone, std::memory_order_release);
     this->telemetry_.tombstone();
     return true;
   }

@@ -112,22 +112,20 @@ struct EdgeKey {
 }
 
 // -- control-byte sidecar vocabulary ----------------------------------------
-// The open tables keep one byte per bucket beside the bucket array: a
-// 7-bit H2 fingerprint of the owning key (high bit set), or one of two
-// reserved control values. Probe walks scan these bytes 16 at a time
-// (util::Group) and only touch the bucket line for lanes whose byte could
-// be the probed key — a filter, never a source of truth: every hit is
-// re-verified against the atomic claim word (docs/architecture.md, "SIMD
-// group probing").
+// The open tables keep one byte per bucket beside the bucket array, in one
+// of two states: kCtrlEmpty, or the 7-bit H2 fingerprint of the owning key
+// (high bit set). The claim winner writes the fingerprint once; erase and
+// revive leave it in place, because a tombstoned bucket still belongs to
+// its key until the next migration rebuilds the sidecar. Probe walks scan
+// these bytes 16 at a time (util::Group) and only touch the bucket line
+// for lanes whose byte could be the probed key — a filter, never a source
+// of truth: every hit is re-verified against the atomic claim word
+// (docs/architecture.md, "SIMD group probing").
 
 /// Control byte of an unclaimed bucket. Zero on purpose: freshly
 /// value-initialised sidecars (AlignedBuffer, migration targets) are
 /// all-empty with no initialisation sweep.
 inline constexpr std::uint8_t kCtrlEmpty = 0x00;
-/// Control byte of a claimed-but-erased bucket. Probe walks must keep
-/// verifying these lanes (the key still owns the bucket; an insert may
-/// revive it), which the candidate masks include explicitly.
-inline constexpr std::uint8_t kCtrlTombstone = 0x01;
 
 /// Bit offset of the H2 fingerprint slice inside mix64(key). Chosen so the
 /// fingerprint shares no bits with either consumer of the same mixed word:
@@ -140,7 +138,7 @@ inline constexpr std::uint8_t kCtrlTombstone = 0x01;
 inline constexpr unsigned kH2Shift = 39;
 
 /// The 7-bit fingerprint with the high bit set: full bytes can never
-/// collide with kCtrlEmpty/kCtrlTombstone.
+/// collide with kCtrlEmpty.
 [[nodiscard]] constexpr std::uint8_t ctrl_h2(std::uint64_t mixed) noexcept {
   return static_cast<std::uint8_t>(0x80u | ((mixed >> kH2Shift) & 0x7Fu));
 }
@@ -160,22 +158,27 @@ struct ProbeStats {
 /// earlier probe chains), then whole groups follow in wrapping order. The
 /// walk revisits the starting group once at the end so the masked-off
 /// lanes are still covered — groups()+1 steps visit every lane at least
-/// once, which is what makes a kFull verdict sound.
+/// once, which is what makes a kFull verdict sound. A table smaller than
+/// one group is a single group whose lanes at or past `buckets` are masked
+/// off (the sidecar is padded to a whole group, and its padding bytes stay
+/// empty forever).
 class GroupWalk {
  public:
   GroupWalk(std::uint64_t home, std::uint64_t buckets) noexcept
-      : groups_(buckets / util::kGroupWidth),
+      : groups_(buckets < util::kGroupWidth ? 1 : buckets / util::kGroupWidth),
         group_(home / util::kGroupWidth),
-        first_lanes_(~std::uint32_t{0} << (home % util::kGroupWidth)) {}
+        lanes_(buckets < util::kGroupWidth ? (std::uint32_t{1} << buckets) - 1
+                                           : ~std::uint32_t{0}),
+        first_lanes_(lanes_ & (~std::uint32_t{0} << (home % util::kGroupWidth))) {}
 
   /// Lane mask of the current group (call once, before any next()).
   [[nodiscard]] std::uint32_t first() const noexcept { return first_lanes_; }
   /// Advances to the next group (wrapping past the last) and returns its
-  /// lane mask (all lanes — only the first group is partial).
+  /// lane mask (every bucket lane — only the first group is partial).
   [[nodiscard]] std::uint32_t next() noexcept {
     ++steps_;
     group_ = group_ + 1 == groups_ ? 0 : group_ + 1;
-    return ~std::uint32_t{0};
+    return lanes_;
   }
   /// True once every group (plus the wrap revisit) has been offered.
   [[nodiscard]] bool done() const noexcept { return steps_ > groups_; }
@@ -186,6 +189,7 @@ class GroupWalk {
   std::uint64_t groups_;
   std::uint64_t group_;
   std::uint64_t steps_ = 0;
+  std::uint32_t lanes_;
   std::uint32_t first_lanes_;
 };
 
@@ -195,19 +199,6 @@ enum class SetInsert {
   kFound,     ///< the key was already present (possibly committed this round
               ///< by a racing thread — the loser observes it wait-free)
   kFull,      ///< the probe walk exhausted the table: grow, then retry
-};
-
-/// A telemetry snapshot feeding the signal-driven reclaim trigger (the
-/// ROADMAP probe-path follow-on): instead of waiting for the static
-/// tombstone-ratio watermark, a step boundary can hand the table what the
-/// probe path actually observed — the probe-length p99 and the H2
-/// false-positive tally — and reclaim as soon as walks demonstrably
-/// degrade. Tables with telemetry off produce a zero signal, which never
-/// fires; the static watermark then decides alone.
-struct ReclaimSignal {
-  std::uint64_t probe_p99 = 0;        ///< buckets verified per op, p99
-  std::uint64_t fingerprint_fps = 0;  ///< cumulative H2 false positives
-  std::uint64_t group_loads = 0;      ///< cumulative sidecar group snapshots
 };
 
 /// Construction-time knobs shared by the ds/ tables.
@@ -223,27 +214,6 @@ struct HashConfig {
   /// (like needs_grow); 0.25 leaves a hysteresis band below max_load so a
   /// reclaim sweep is never immediately followed by a backlog grow.
   double reclaim_ratio = 0.25;
-  /// Telemetry-driven reclaim trigger (0 = off): needs_reclaim(signal)
-  /// additionally fires when the observed probe-length p99 reaches this
-  /// many buckets per operation. Gated on a minimum tombstone floor
-  /// (1/64 of the buckets) because the probe histogram is cumulative — a
-  /// long-probe past would re-fire every step after the sweep already
-  /// dropped the tombstones that caused it, and a reclaim can only help
-  /// while there are tombstones to drop.
-  std::uint64_t reclaim_probe_p99 = 0;
-  /// Telemetry-driven reclaim trigger (0.0 = off): fires when the observed
-  /// H2 false positives exceed this fraction of the sidecar group loads
-  /// (tombstone lanes stay verify candidates forever, so a churned table's
-  /// false-positive rate climbs until a sweep resets the sidecar). Same
-  /// tombstone floor as reclaim_probe_p99.
-  double reclaim_fp_rate = 0.0;
-  /// Probe via the control-byte sidecar, 16 buckets per group load (the
-  /// tentpole path). OFF forces the scalar bucket-at-a-time walk — the
-  /// A/B lever bench/micro_probe.cpp and the equivalence tests use; the
-  /// sidecar is maintained either way, so flipping the knob between runs
-  /// of the same workload is safe. Tables smaller than one group always
-  /// walk scalar regardless.
-  bool group_probe = true;
   /// Attach a ContentionSite and count probes/CASes/migrations. For
   /// profile passes only — counting costs sharded RMWs (see
   /// InstrumentedPolicy's caveat).
@@ -373,19 +343,6 @@ class TableTelemetry {
   }
   [[nodiscard]] std::uint64_t probe_p99() const noexcept {
     return site_ ? site_->probe_lengths().quantile_upper_bound(0.99) : 0;
-  }
-
-  /// Snapshot for the signal-driven reclaim trigger (ReclaimSignal docs);
-  /// all-zero when telemetry is off, which never fires a trigger.
-  [[nodiscard]] ReclaimSignal signal() const noexcept {
-    ReclaimSignal sig;
-    if (site_) {
-      const obs::ContentionTotals t = site_->totals();
-      sig.probe_p99 = probe_p99();
-      sig.fingerprint_fps = t.fingerprint_fps;
-      sig.group_loads = t.group_loads;
-    }
-    return sig;
   }
 
  private:

@@ -13,15 +13,17 @@
 //
 // Both the claim walk and the read walk are one probe loop with a
 // different per-lane verdict. Each starts with a home-lane fast path,
-// inlined at the call site, and falls back to an outlined walk: 16 lanes
-// per util::Group snapshot of the sidecar when HashConfig::group_probe is
-// on and the table spans a group, else the scalar bucket-at-a-time walk.
-// Either way candidate lanes are visited in probe order, so a claim lands
-// on the earliest free lane and the two modes build identical tables. The
-// sidecar is strictly a filter (docs/architecture.md, "SIMD group
-// probing"): bytes are published after the RMW that commits them, every
-// fingerprint hit is re-verified against the claim word, and empty and
-// tombstone lanes are always candidates.
+// inlined at the call site, and falls back to an outlined group walk: 16
+// lanes per util::Group snapshot of the sidecar, visiting candidate lanes
+// in probe order, so a claim lands on the earliest free lane exactly as
+// serial linear probing would place it. Tables smaller than one group walk
+// the same loop over a padded sidecar with the lanes past the table masked
+// off (GroupWalk). The sidecar is strictly a filter (docs/architecture.md,
+// "SIMD group probing"): the claim winner publishes its key's fingerprint
+// after the CAS, and erase and revive never touch it, so a byte is written
+// once per migration epoch and the only stale value a walk can read is
+// empty — and empty lanes are always candidates, re-verified against the
+// claim word like every fingerprint hit.
 //
 // Growth is DHash-style cooperative migration, run *between* rounds at the
 // PRAM step boundary instead of behind per-bucket locks. The sweep skips
@@ -93,21 +95,6 @@ class OpenTable {
     const std::uint64_t dead = tombstones();
     return dead > 0 && static_cast<double>(dead) >=
                            cfg_.reclaim_ratio * static_cast<double>(buckets_.size());
-  }
-
-  /// Signal-driven variant: the static watermark still fires on its own,
-  /// but observed probe degradation (telemetry_signal()) can fire too —
-  /// probe-length p99 at or past HashConfig::reclaim_probe_p99, or H2 false
-  /// positives past reclaim_fp_rate of the group loads. Both are gated on
-  /// a tombstone floor of 1/64 of the buckets: the telemetry is
-  /// cumulative, so without it a bad-probe past would re-fire every step.
-  [[nodiscard]] bool needs_reclaim(const ReclaimSignal& sig) const noexcept {
-    if (needs_reclaim()) return true;
-    if (tombstones() < buckets_.size() / 64 + 1) return false;
-    if (cfg_.reclaim_probe_p99 != 0 && sig.probe_p99 >= cfg_.reclaim_probe_p99) return true;
-    return cfg_.reclaim_fp_rate > 0.0 && sig.group_loads > 0 &&
-           static_cast<double>(sig.fingerprint_fps) >
-               cfg_.reclaim_fp_rate * static_cast<double>(sig.group_loads);
   }
 
   /// Serial: allocates the next array (factor × buckets) and opens the
@@ -207,14 +194,6 @@ class OpenTable {
     return true;
   }
 
-  /// Signal-gated reclaim; the serve pumps pass telemetry_signal() so
-  /// churned tables rebuild as soon as probes degrade.
-  bool maybe_reclaim_parallel(int threads, const ReclaimSignal& sig) {
-    if (!needs_reclaim(sig)) return false;
-    reclaim_parallel(threads);
-    return true;
-  }
-
   /// Backlog-sized grow: one grow sized for `backlog` further inserts on
   /// top of occupied() (tombstones hold buckets until a reclaim), instead
   /// of a cascade of ×2 grows each re-migrating every key. True iff a grow
@@ -236,29 +215,26 @@ class OpenTable {
 
   [[nodiscard]] TableTelemetry& telemetry() noexcept { return telemetry_; }
 
-  /// This table's own probe-path observations, ready to feed back into
-  /// maybe_reclaim_parallel. All-zero when telemetry is off.
-  [[nodiscard]] ReclaimSignal telemetry_signal() const noexcept {
-    return telemetry_.signal();
-  }
-
   /// Round boundary hook: folds the round's counter deltas into the site's
   /// per-round histograms. Serial/post-barrier.
   void flush_round() noexcept { telemetry_.flush_round(); }
 
   // -- test/debug introspection (serial or post-barrier only) ---------------
 
-  /// Raw control byte for bucket `i` (empty / tombstone / fingerprint).
+  /// Raw control byte for bucket `i` (empty or fingerprint).
   [[nodiscard]] std::uint8_t debug_ctrl(std::uint64_t i) const noexcept {
     return ctrl_[i].load(std::memory_order_acquire);
   }
 
   /// Index of the bucket claimed by `key` (live or tombstoned), or ~0 if
-  /// unclaimed. Always the scalar walk, so it double-checks the group path.
+  /// unclaimed. A plain scan of every bucket, independent of the probe
+  /// walk and its sidecar, so tests can check the walk against it.
   [[nodiscard]] std::uint64_t debug_bucket_of(Key key) const noexcept {
-    ProbeStats unused;
-    const Probe p = probe_scalar(mix64(key), unused, reader(key));
-    return p.step == Step::kHit ? p.index : kNone;
+    if (key == kEmptyKey) return kNone;
+    for (std::uint64_t i = 0; i < buckets_.size(); ++i) {
+      if (buckets_[i].key() == key) return i;
+    }
+    return kNone;
   }
 
  protected:
@@ -275,7 +251,7 @@ class OpenTable {
       : cfg_(std::move(cfg)),
         telemetry_(cfg_),
         buckets_(bucket_count_for(required_buckets(capacity, cfg_.max_load))),
-        ctrl_(buckets_.size()),  // value-initialised atomics = all kCtrlEmpty
+        ctrl_(sidecar_size(buckets_.size())),  // value-initialised = all kCtrlEmpty
         mask_(buckets_.size() - 1) {}
 
   static void check_key(Key key) {
@@ -333,7 +309,8 @@ class OpenTable {
   HashConfig cfg_;
   TableTelemetry telemetry_;
   util::AlignedBuffer<Bucket> buckets_;
-  // Control-byte sidecar, one byte per bucket (a filter only — see above).
+  // Control-byte sidecar, one byte per bucket and at least one group (a
+  // filter only — see above).
   util::AlignedBuffer<std::atomic<std::uint8_t>> ctrl_;
   std::uint64_t mask_;
   ShardedCounter occupied_;  ///< claimed buckets
@@ -361,8 +338,10 @@ class OpenTable {
 
   Derived& self() noexcept { return static_cast<Derived&>(*this); }
 
-  [[nodiscard]] bool group_probing() const noexcept {
-    return cfg_.group_probe && buckets_.size() >= util::kGroupWidth;
+  /// Sidecar bytes for a table of `buckets`: padded to one whole group so
+  /// every group load stays in bounds; GroupWalk masks the padding lanes.
+  [[nodiscard]] static std::uint64_t sidecar_size(std::uint64_t buckets) noexcept {
+    return std::max<std::uint64_t>(buckets, util::kGroupWidth);
   }
 
   /// Read-walk verdict: the key is a hit, an empty bucket ends the chain.
@@ -373,10 +352,11 @@ class OpenTable {
     };
   }
 
-  /// Home-lane fast path. Home is lane zero of both walks, so resolving it
+  /// Home-lane fast path. Home is the walk's first lane, so resolving it
   /// before any group machinery changes no outcome; only a stranger at
-  /// home takes the outlined walk, which re-checks home once (a benign
-  /// extra probe on the rare path).
+  /// home takes the outlined walk, which re-checks home once if its byte
+  /// is the fingerprint or still reads empty (a benign extra probe on the
+  /// rare path).
   template <typename Visit>
   Probe probe(std::uint64_t mixed, ProbeStats& stats, Visit visit) const {
     const std::uint64_t home = mixed & mask_;
@@ -387,15 +367,13 @@ class OpenTable {
   }
 
   /// Group walk: visits only the lanes whose control byte is the key's
-  /// fingerprint, a tombstone or empty, in lane order. A fingerprint lane
-  /// whose verdict is kNext is a verified H2 false positive. Both walks
-  /// count in locals and add to `stats` once: the verdicts issue atomic
-  /// loads, across which a count kept in `stats` would go through memory
-  /// on every step.
+  /// fingerprint or empty, in lane order. A fingerprint lane whose verdict
+  /// is kNext is a verified H2 false positive. The walk counts in locals
+  /// and adds to `stats` once: the verdicts issue atomic loads, across
+  /// which a count kept in `stats` would go through memory on every step.
   template <typename Visit>
   [[gnu::noinline]] Probe probe_walk(std::uint64_t mixed, ProbeStats& stats,
                                      Visit visit) const {
-    if (!group_probing()) return probe_scalar(mixed, stats, visit);
     const std::uint8_t fp = ctrl_h2(mixed);
     ProbeStats n;
     const auto stop = [&stats, &n](Probe p) {
@@ -409,7 +387,7 @@ class OpenTable {
       const util::Group grp = util::Group::load(&ctrl_[walk.base()]);
       ++n.group_loads;
       const std::uint32_t h2m = grp.match(fp) & lanes;
-      std::uint32_t cand = (h2m | grp.match_special()) & lanes;
+      std::uint32_t cand = (h2m | grp.match_empty()) & lanes;
       while (cand != 0) {
         const auto lane = static_cast<unsigned>(std::countr_zero(cand));
         cand &= cand - 1;
@@ -423,29 +401,12 @@ class OpenTable {
     return stop({kNone, Step::kMiss});
   }
 
-  /// Scalar walk: every bucket from home, in order (sub-group tables, the
-  /// group_probe=OFF lever, and the reference debug_bucket_of uses).
-  template <typename Visit>
-  Probe probe_scalar(std::uint64_t mixed, ProbeStats& stats, Visit visit) const {
-    const std::uint64_t mask = mask_;
-    std::uint64_t b = mixed & mask;
-    for (std::uint64_t n = 1; n <= mask + 1; ++n) {
-      const Step step = visit(b);
-      if (step != Step::kNext) {
-        stats.probes += n;
-        return {b, step};
-      }
-      b = (b + 1) & mask;
-    }
-    stats.probes += mask + 1;
-    return {kNone, Step::kMiss};
-  }
-
   void migration_prepare(std::uint64_t target_buckets) {
     assert(!growing() && "migration_prepare while a migration is already open");
     auto mig = std::make_unique<Migration>();
     mig->buckets = util::AlignedBuffer<Bucket>(target_buckets);
-    mig->ctrl = util::AlignedBuffer<std::atomic<std::uint8_t>>(target_buckets);
+    mig->ctrl =
+        util::AlignedBuffer<std::atomic<std::uint8_t>>(sidecar_size(target_buckets));
     mig->mask = target_buckets - 1;
     migration_ = std::move(mig);
   }

@@ -179,8 +179,7 @@ class ShardedScheduler : public RoundPump<ShardedScheduler> {
 
   void end_batch() {
     for (const auto& shard : shards_) {
-      (void)shard->table.maybe_reclaim_parallel(exec_threads(),
-                                                shard->table.telemetry_signal());
+      (void)shard->table.maybe_reclaim_parallel(exec_threads());
     }
   }
 

@@ -17,11 +17,8 @@
 // because probe chains are atomic words and nobody else touches those
 // buckets' values).
 //
-// The reclaim trigger is telemetry-driven when the table carries a site:
-// maybe_reclaim(threads) feeds the table's own probe-path observations
-// (probe p99, H2 false-positive rate) back into the signal overload, so a
-// churned edge table rebuilds as soon as walks degrade (hash_common.hpp,
-// ReclaimSignal).
+// The reclaim trigger is the table's tombstone-ratio watermark
+// (HashConfig::reclaim_ratio), checked at step boundaries.
 #pragma once
 
 #include <cstdint>
@@ -103,12 +100,9 @@ class DynamicGraph {
     return table_.maybe_grow_for_backlog(backlog, threads);
   }
 
-  /// Reclaim gated on the static tombstone watermark OR the table's own
-  /// probe telemetry (the signal-driven trigger). Returns true iff a
-  /// rebuild ran.
-  bool maybe_reclaim(int threads = 0) {
-    return table_.maybe_reclaim_parallel(threads, table_.telemetry_signal());
-  }
+  /// Reclaim gated on the tombstone watermark. Returns true iff a rebuild
+  /// ran.
+  bool maybe_reclaim(int threads = 0) { return table_.maybe_reclaim_parallel(threads); }
 
   [[nodiscard]] Table& table() noexcept { return table_; }
   [[nodiscard]] const Table& table() const noexcept { return table_; }

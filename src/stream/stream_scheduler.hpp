@@ -145,8 +145,8 @@ class StreamScheduler : public serve::RoundPump<StreamScheduler> {
   [[nodiscard]] const DynamicGraph& graph() const noexcept { return graph_; }
   [[nodiscard]] IncrementalCc& cc() noexcept { return cc_; }
   [[nodiscard]] const IncrementalCc& cc() const noexcept { return cc_; }
-  /// Edge-table reclaim sweeps triggered at batch close (watermark- or
-  /// telemetry-driven).
+  /// Edge-table reclaim sweeps triggered at batch close by the tombstone
+  /// watermark.
   [[nodiscard]] std::uint64_t reclaims() const noexcept {
     return reclaims_.load(std::memory_order_relaxed);
   }

@@ -9,8 +9,13 @@
 //     (there is no movemask instruction; narrowing each 16-bit lane's top
 //     nibble packs the comparison into one 64-bit scalar);
 //   * SWAR  (portable fallback, and the -DCRCW_SIMD=OFF build): two 8-byte
-//     words per group through the classic zero-byte detector
-//     (x - 0x01..01) & ~x & 0x80..80 after XORing the needle in.
+//     words per group. XORing the needle in turns equal bytes into 0x00,
+//     and the exact per-byte zero test
+//     ~(((x & 0x7F..7F) + 0x7F..7F) | x | 0x7F..7F) & 0x80..80 flags them
+//     without the borrow of the classic (x - 0x01..01) & ~x detector,
+//     which also flags a byte that differs from the needle only in bit 0
+//     when the byte below it matches. One multiply-gather per word then
+//     packs the flagged 0x80 bits into lane bits.
 //
 // match_swar() is compiled unconditionally so tests can assert bit-exact
 // parity between the vector backend and the portable one on random batches
@@ -19,16 +24,17 @@
 // Memory-model contract: load() takes the control bytes as relaxed atomics
 // and snapshots them NON-atomically as one wide read (a data race in the
 // letter of the C++ model, benign by the sidecar's design — every group
-// byte is only ever a *filter*, and every hit is re-verified against the
-// authoritative bucket word; see docs/architecture.md "SIMD group
-// probing"). Under TSan the wide read would be reported, so that build
-// takes a per-byte relaxed-atomic path instead: same values, same masks,
-// no diagnostics — the tool sees exactly the synchronisation the proof
-// uses, per the src/util/sanitizer.hpp discipline.
+// byte is only ever a *filter*; a byte is written once per migration
+// epoch, empty → fingerprint, so a stale snapshot can only read a lane as
+// empty, and empty lanes are always re-verified against the authoritative
+// bucket word; see docs/architecture.md "SIMD group probing"). Under TSan
+// the wide read would be reported, so that build takes a per-byte
+// relaxed-atomic path instead: same values, same masks, no diagnostics —
+// the tool sees exactly the synchronisation the proof uses, per the
+// src/util/sanitizer.hpp discipline.
 #pragma once
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <cstring>
 
@@ -113,14 +119,12 @@ struct Group {
 #endif
   }
 
-  /// Bitmask of the sentinel lanes (empty or tombstone) in one query:
-  /// every published fingerprint byte has the high bit set (0x80 | H2) and
-  /// the only two non-fingerprint values are kCtrlEmpty (0x00) and
-  /// kCtrlTombstone (0x01), so "high bit clear" *is* "empty or tombstone"
-  /// — one sign-bit movemask, no byte compares. The probe walks pair this
-  /// with match(fp) to build the full candidate mask in two masks instead
-  /// of three.
-  [[nodiscard]] std::uint32_t match_special() const noexcept {
+  /// Bitmask of the empty lanes in one query: every published fingerprint
+  /// byte has the high bit set (0x80 | H2) and the only other value the
+  /// sidecar holds is kCtrlEmpty (0x00), so "high bit clear" *is* "empty"
+  /// — one sign-bit movemask, no byte compare. The probe walk pairs this
+  /// with match(fp) to build its candidate mask.
+  [[nodiscard]] std::uint32_t match_empty() const noexcept {
 #if defined(CRCW_SIMD_SSE2)
     const __m128i group = _mm_load_si128(reinterpret_cast<const __m128i*>(bytes));
     return static_cast<std::uint32_t>(~_mm_movemask_epi8(group)) & 0xFFFFu;
@@ -137,43 +141,46 @@ struct Group {
     }
     return ~mask & 0xFFFFu;
 #else
-    return special_swar();
+    return empty_swar();
 #endif
   }
 
   /// Portable SWAR comparison — always compiled, so vector builds can
   /// verify parity at runtime (tests/test_simd.cpp).
   [[nodiscard]] std::uint32_t match_swar(std::uint8_t b) const noexcept {
-    constexpr std::uint64_t kLow = 0x0101010101010101ull;
-    constexpr std::uint64_t kHigh = 0x8080808080808080ull;
     std::uint32_t mask = 0;
     for (std::size_t w = 0; w < kGroupWidth / 8; ++w) {
       std::uint64_t x;
       std::memcpy(&x, bytes + 8 * w, 8);
       x ^= kLow * b;  // bytes equal to the needle become 0x00
-      std::uint64_t hit = (x - kLow) & ~x & kHigh;
-      while (hit != 0) {
-        mask |= 1u << (8 * w + (static_cast<std::size_t>(std::countr_zero(hit)) >> 3));
-        hit &= hit - 1;
-      }
+      const std::uint64_t zero = ~(((x & kLow7) + kLow7) | x | kLow7) & kHigh;
+      mask |= gather(zero) << (8 * w);
     }
     return mask;
   }
 
-  /// SWAR twin of match_special(): high-bit-clear lanes, word at a time.
-  [[nodiscard]] std::uint32_t special_swar() const noexcept {
-    constexpr std::uint64_t kHigh = 0x8080808080808080ull;
+  /// SWAR twin of match_empty(): high-bit-clear lanes, word at a time.
+  [[nodiscard]] std::uint32_t empty_swar() const noexcept {
     std::uint32_t mask = 0;
     for (std::size_t w = 0; w < kGroupWidth / 8; ++w) {
       std::uint64_t x;
       std::memcpy(&x, bytes + 8 * w, 8);
-      std::uint64_t hit = ~x & kHigh;
-      while (hit != 0) {
-        mask |= 1u << (8 * w + (static_cast<std::size_t>(std::countr_zero(hit)) >> 3));
-        hit &= hit - 1;
-      }
+      mask |= gather(~x & kHigh) << (8 * w);
     }
     return mask;
+  }
+
+ private:
+  static constexpr std::uint64_t kLow = 0x0101010101010101ull;
+  static constexpr std::uint64_t kLow7 = 0x7F7F7F7F7F7F7F7Full;
+  static constexpr std::uint64_t kHigh = 0x8080808080808080ull;
+
+  /// Packs the 0x80 bit of each byte of `hit` (every other bit clear) into
+  /// an 8-bit lane mask: after the shift, byte i holds bit 8i, and the
+  /// multiplier's bits 7, 14, …, 56 send it to bit 56 + i with no other
+  /// partial product reaching the top byte and no carries.
+  [[nodiscard]] static std::uint32_t gather(std::uint64_t hit) noexcept {
+    return static_cast<std::uint32_t>(((hit >> 7) * 0x0102040810204080ull) >> 56);
   }
 };
 

@@ -219,67 +219,6 @@ TEST(ChurnBounded, SetBucketCountBoundedOverManyCycles) {
   for (std::uint64_t k = 0; k < kCore; ++k) ASSERT_TRUE(set.contains(k));
 }
 
-TEST(ChurnSignal, SignalTriggersGatedOnTheTombstoneFloor) {
-  // The signal-driven reclaim trigger, isolated from real probe noise by
-  // synthetic ReclaimSignal values: with the static watermark parked out
-  // of reach, only an observed-degradation signal may fire, and only once
-  // there are enough tombstones (1/64 of the buckets) for a sweep to help.
-  HashConfig cfg;
-  cfg.reclaim_ratio = 1.0;  // static watermark unreachable
-  cfg.reclaim_probe_p99 = 8;
-  cfg.reclaim_fp_rate = 0.1;
-  Map map(256, cfg);
-  const std::uint64_t floor = map.bucket_count() / 64 + 1;
-
-  // A handful of tombstones below the floor: even a screaming signal is
-  // ignored (the histogram is cumulative; reclaim can't help yet).
-  round_t r = 0;
-  ++r;
-  for (std::uint64_t k = 0; k < floor - 1; ++k) {
-    ASSERT_EQ(map.upsert(r, k, k), MapUpsert::kWon);
-  }
-  ++r;
-  for (std::uint64_t k = 0; k < floor - 1; ++k) {
-    ASSERT_EQ(map.erase(r, k), MapUpsert::kWon);
-  }
-  ASSERT_EQ(map.tombstones(), floor - 1);
-  EXPECT_FALSE(map.needs_reclaim(ReclaimSignal{1000, 1000, 1000}));
-
-  // Cross the floor; now the triggers discriminate.
-  ++r;
-  for (std::uint64_t k = 100; k < 100 + 64; ++k) {
-    ASSERT_EQ(map.upsert(r, k, k), MapUpsert::kWon);
-  }
-  ++r;
-  for (std::uint64_t k = 100; k < 100 + 64; ++k) {
-    ASSERT_EQ(map.erase(r, k), MapUpsert::kWon);
-  }
-  ASSERT_GE(map.tombstones(), floor);
-  EXPECT_FALSE(map.needs_reclaim());                   // static watermark: no
-  EXPECT_FALSE(map.needs_reclaim(ReclaimSignal{}));    // zero signal: no
-  EXPECT_FALSE(map.needs_reclaim(ReclaimSignal{7, 0, 0}));    // p99 below knob
-  EXPECT_TRUE(map.needs_reclaim(ReclaimSignal{8, 0, 0}));     // at the knob
-  EXPECT_FALSE(map.needs_reclaim(ReclaimSignal{0, 10, 100}));  // fp at rate: no
-  EXPECT_TRUE(map.needs_reclaim(ReclaimSignal{0, 11, 100}));   // fp past rate
-
-  // The gated entry point sweeps, and the floor re-arms: the same signal
-  // cannot re-fire against a table whose tombstones are already gone.
-  EXPECT_TRUE(map.maybe_reclaim_parallel(1, ReclaimSignal{8, 0, 0}));
-  EXPECT_EQ(map.tombstones(), 0u);
-  EXPECT_FALSE(map.maybe_reclaim_parallel(1, ReclaimSignal{8, 0, 0}));
-}
-
-TEST(ChurnSignal, TelemetryOffYieldsTheZeroSignal) {
-  // telemetry_signal() from a telemetry-less table is all-zero, and the
-  // zero signal never fires — the static watermark then decides alone.
-  Map map(64);
-  const ReclaimSignal sig = map.telemetry_signal();
-  EXPECT_EQ(sig.probe_p99, 0u);
-  EXPECT_EQ(sig.fingerprint_fps, 0u);
-  EXPECT_EQ(sig.group_loads, 0u);
-  EXPECT_FALSE(map.needs_reclaim(sig));
-}
-
 TEST(ChurnBounded, ChainedArenaBoundedOverManyCycles) {
   // The chained set's churn resource is the node arena, not the bucket
   // array: reclaim must recycle tombstoned nodes fast enough that 128

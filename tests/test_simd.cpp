@@ -20,6 +20,15 @@ namespace {
 using util::Group;
 using util::kGroupWidth;
 
+/// Byte-at-a-time reference for match(): bit i = bytes[i] == b.
+std::uint32_t reference_match(const Group& g, std::uint8_t b) {
+  std::uint32_t mask = 0;
+  for (std::size_t i = 0; i < kGroupWidth; ++i) {
+    if (g.bytes[i] == b) mask |= 1u << i;
+  }
+  return mask;
+}
+
 TEST(Simd, BackendNameMatchesCompileFlags) {
   const std::string_view backend = util::simd_backend();
   EXPECT_TRUE(backend == "sse2" || backend == "neon" || backend == "swar");
@@ -69,25 +78,41 @@ TEST(Simd, VectorAndSwarAgreeOnRandomBatches) {
       const auto needle = static_cast<std::uint8_t>(rng.bounded(8) * 37);
       EXPECT_EQ(g.match(needle), g.match_swar(needle)) << "iter " << iter;
     }
-    // The ds/ sidecar's three needle classes on the same snapshot.
+    // The ds/ sidecar's needle classes on the same snapshot.
     EXPECT_EQ(g.match(ds::kCtrlEmpty), g.match_swar(ds::kCtrlEmpty));
-    EXPECT_EQ(g.match(ds::kCtrlTombstone), g.match_swar(ds::kCtrlTombstone));
     const auto fp = static_cast<std::uint8_t>(0x80u | rng.bounded(0x80));
     EXPECT_EQ(g.match(fp), g.match_swar(fp));
-    EXPECT_EQ(g.match_special(), g.special_swar()) << "iter " << iter;
+    EXPECT_EQ(g.match_empty(), g.empty_swar()) << "iter " << iter;
+  }
+  // Adjacent b / b^1 lanes: two fingerprints may differ in bit 0 alone, and
+  // a borrow-based zero-byte detector flags the b^1 lane whenever the lane
+  // below it matches. Every 8-lane pattern of the two bytes, in both words,
+  // for needles across the byte range — all 256 patterns, so the
+  // multiply-gather packing is checked exhaustively too.
+  for (const std::uint8_t b : {0x00, 0x01, 0x7E, 0x80, 0x85, 0xFE, 0xFF}) {
+    std::uint8_t pair_bytes[kGroupWidth];
+    for (std::uint32_t pattern = 0; pattern < 256; ++pattern) {
+      const std::uint32_t lanes = pattern | ((pattern ^ 0xA5u) << 8);
+      for (std::size_t i = 0; i < kGroupWidth; ++i) {
+        pair_bytes[i] = ((lanes >> i) & 1u) != 0 ? b : static_cast<std::uint8_t>(b ^ 1);
+      }
+      const Group g = Group::from(pair_bytes);
+      ASSERT_EQ(reference_match(g, b), lanes);
+      EXPECT_EQ(g.match(b), lanes) << "needle " << int(b) << " pattern " << pattern;
+      EXPECT_EQ(g.match_swar(b), lanes) << "needle " << int(b) << " pattern " << pattern;
+    }
   }
 }
 
-TEST(Simd, MatchSpecialIsExactlyTheHighBitClearLanes) {
-  // The fused sentinel query the walks use in place of
-  // match(kCtrlEmpty) | match(kCtrlTombstone): sound because every
-  // published fingerprint carries the 0x80 bit, so "high bit clear" can
-  // only be a sentinel. Pin that equivalence on a mixed group, and the
-  // edge needles 0x7F (highest non-fp byte value) / 0x80 (lowest fp).
+TEST(Simd, MatchEmptyIsExactlyTheHighBitClearLanes) {
+  // The sign-bit query the walk uses in place of match(kCtrlEmpty): sound
+  // because every published fingerprint carries the 0x80 bit, so "high bit
+  // clear" can only be empty. Pin the sign-bit reading on a mixed group,
+  // with the edge bytes 0x7F (highest non-fp value) / 0x80 (lowest fp).
   std::uint8_t bytes[kGroupWidth];
   for (std::size_t i = 0; i < kGroupWidth; ++i) {
     bytes[i] = (i % 4 == 0)   ? ds::kCtrlEmpty
-               : (i % 4 == 1) ? ds::kCtrlTombstone
+               : (i % 4 == 1) ? std::uint8_t{0x01}
                : (i % 4 == 2) ? std::uint8_t{0x7F}
                               : std::uint8_t{0x80};
   }
@@ -96,16 +121,15 @@ TEST(Simd, MatchSpecialIsExactlyTheHighBitClearLanes) {
   for (std::size_t i = 0; i < kGroupWidth; ++i) {
     if ((bytes[i] & 0x80u) == 0) expect |= 1u << i;
   }
-  EXPECT_EQ(g.match_special(), expect);
-  EXPECT_EQ(g.special_swar(), expect);
-  // On real sidecar contents (no 0x02..0x7F bytes ever published) the
-  // fused mask equals the two-needle union it replaced.
+  EXPECT_EQ(g.match_empty(), expect);
+  EXPECT_EQ(g.empty_swar(), expect);
+  // On real sidecar contents (only kCtrlEmpty and fingerprints) the
+  // sign-bit mask equals the empty-needle match.
   for (auto& b : bytes) {
-    if ((b & 0x80u) == 0 && b > ds::kCtrlTombstone) b = ds::kCtrlEmpty;
+    if ((b & 0x80u) == 0) b = ds::kCtrlEmpty;
   }
   const Group real = Group::from(bytes);
-  EXPECT_EQ(real.match_special(),
-            real.match(ds::kCtrlEmpty) | real.match(ds::kCtrlTombstone));
+  EXPECT_EQ(real.match_empty(), real.match(ds::kCtrlEmpty));
 }
 
 TEST(Simd, LoadSnapshotsAtomicSidecarBytes) {
