@@ -3,12 +3,15 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <optional>
 #include <stdexcept>
+#include <variant>
 #include <vector>
 
-#include "core/arbiter.hpp"
-#include "core/instrumented.hpp"
+#include "algorithms/dispatch.hpp"
+#include "algorithms/method_table.hpp"
 #include "core/slot_alloc.hpp"
 #include "obs/metrics.hpp"
 #include "util/chunking.hpp"
@@ -20,6 +23,8 @@ using graph::Csr;
 using graph::edge_t;
 using graph::kNoVertex;
 using graph::vertex_t;
+using methods::PolicyRow;
+using methods::Reset;
 
 constexpr edge_t kNoEdge = static_cast<edge_t>(-1);
 
@@ -40,9 +45,42 @@ BfsResult make_result(std::uint64_t n, vertex_t source) {
 inline std::int64_t load_level(const std::int64_t& cell) noexcept {
   return std::atomic_ref<const std::int64_t>(cell).load(std::memory_order_relaxed);
 }
-inline void store_level(std::int64_t& cell, std::int64_t v) noexcept {
-  std::atomic_ref<std::int64_t>(cell).store(v, std::memory_order_relaxed);
+template <typename T>
+inline void store_relaxed(T& cell, T v) noexcept {
+  std::atomic_ref<T>(cell).store(v, std::memory_order_relaxed);
 }
+
+/// The three output arrays of a BfsResult, as the raw pointers the loops
+/// index. Parallel loops take it firstprivate: a shared Tree is re-read
+/// through the region's argument block after every atomic, a private copy
+/// stays in registers.
+struct Tree {
+  std::int64_t* level;
+  vertex_t* parent;
+  edge_t* sel_edge;
+
+  explicit Tree(BfsResult& r)
+      : level(r.level.data()), parent(r.parent.data()), sel_edge(r.sel_edge.data()) {}
+
+  /// Fig 3 lines 21-27, the discovery step of every top-down loop here:
+  /// edge j = (v, u) puts u on level `next` if u is unvisited and the
+  /// policy's canConWrite admits the writer — the one line where the
+  /// Figure 7–9 methods differ. Every admitted writer stores through relaxed
+  /// atomic_ref, the same x86 mov as a plain store. Naive admits every
+  /// discovering edge: level is a common CW and stays correct, but the
+  /// arbitrary-CW pair (parent, sel_edge) can commit MIXED across writers
+  /// (the §4 hazard; tests only validate levels for naive, and
+  /// tests/test_bfs.cpp demonstrates the mixed pair).
+  template <typename Scope>
+  bool discover(Scope& scope, vertex_t v, edge_t j, vertex_t u, std::int64_t next) const {
+    if (load_level(level[u]) != -1) return false;  // Fig 3 "visited" check
+    if (!scope.acquire(u)) return false;
+    store_relaxed(parent[u], v);
+    store_relaxed(sel_edge[u], j);
+    store_relaxed(level[u], next);
+    return true;
+  }
+};
 
 /// Folds a run's slot-allocation tallies into a ContentionSite so profile
 /// passes see them (attempts = slots handed out, atomics = shared-cursor
@@ -60,66 +98,40 @@ void report_slot_counts(std::uint64_t grants, std::uint64_t shared_rmws,
   site.add_refills(refills);
 }
 
-}  // namespace
-
-namespace detail {
-
+/// The level-scan kernel of Figure 3: every level scans all vertices, and
+/// vertices on the level relax their edges through Tree::discover.
 template <WritePolicy Policy>
-BfsResult bfs_kernel(const Csr& g, vertex_t source, const BfsOptions& opts) {
+BfsResult bfs_kernel(const Csr& g, vertex_t source, const BfsOptions& opts, Reset reset) {
   const std::uint64_t n = g.num_vertices();
   BfsResult result = make_result(n, source);
+  const Tree tree(result);
 
   const auto offsets = g.offsets();
   const auto targets = g.targets();
-  auto* level = result.level.data();
-  auto* parent = result.parent.data();
-  auto* sel_edge = result.sel_edge.data();
 
   const int threads = opts.threads > 0 ? opts.threads : omp_get_max_threads();
-  ArbiterConfig cfg;
-  cfg.tracking = opts.sparse_reset ? TouchTracking::kEnabled : TouchTracking::kDisabled;
-  cfg.lanes = threads;
-  // Tag pages land with the threads that sweep and acquire them.
-  cfg.first_touch = util::FirstTouch::kParallel;
-  cfg.first_touch_threads = threads;
-  WriteArbiter<Policy> arbiter(n, cfg);
+  methods::ArbiterFor<Policy> arbiter(n, methods::round_config(reset, threads));
   const auto count = static_cast<std::int64_t>(n);
 
   std::int64_t l = 0;
   bool done = false;
   while (!done) {
     std::uint8_t frontier_empty = 1;
-    // Fig 3(b) lines 34-35: re-zero the whole gatekeeper array — the
-    // Θ(N)-work-per-level overhead CAS-LT avoids (no-op for policies
-    // without per-round reset). The sparse variant sweeps only last
-    // level's touched tags instead — O(#discoveries), the §6 cost term
-    // this option exists to attack.
-    if (opts.sparse_reset) {
-      arbiter.reset_tags_sparse(threads);
-    } else {
-      arbiter.reset_tags_parallel(threads);
-    }
+    // Fig 3(b) lines 34-35: re-arm the gatekeeper tags — the Θ(N) sweep
+    // CAS-LT avoids, or the sparse reset of last level's touched tags (a
+    // no-op for policies without per-round reset).
+    methods::rearm(arbiter, reset, threads);
     // Round id L+1 (Fig 3(a) line 22): monotone across levels, so CAS-LT
     // tags never need re-initialisation.
     auto scope = arbiter.next_round(ResetMode::kCaller);
 
-#pragma omp parallel for num_threads(threads) schedule(static) \
+#pragma omp parallel for num_threads(threads) schedule(static) firstprivate(tree) \
     reduction(&& : frontier_empty)
     for (std::int64_t vi = 0; vi < count; ++vi) {
       const auto v = static_cast<vertex_t>(vi);
-      if (load_level(level[vi]) != l) continue;
+      if (load_level(tree.level[vi]) != l) continue;
       for (edge_t j = offsets[v]; j < offsets[v + 1]; ++j) {
-        const vertex_t u = targets[j];
-        if (load_level(level[u]) != -1) continue;  // Fig 3 "visited" check
-        if (scope.acquire(u)) {
-          // The multi-word discovery write of Fig 3 lines 23-27. Only the
-          // policy winner executes it, so plain stores suffice for the
-          // arbitrary-CW members (parent, sel_edge).
-          parent[u] = v;
-          sel_edge[u] = j;
-          store_level(level[u], l + 1);
-          frontier_empty = 0;
-        }
+        if (tree.discover(scope, v, j, targets[j], l + 1)) frontier_empty = 0;
       }
     }
     // Implicit barrier = the synchronisation point before dependent reads.
@@ -131,79 +143,21 @@ BfsResult bfs_kernel(const Csr& g, vertex_t source, const BfsOptions& opts) {
   return result;
 }
 
-template BfsResult bfs_kernel<CasLtPolicy>(const Csr&, vertex_t, const BfsOptions&);
-template BfsResult bfs_kernel<GatekeeperPolicy>(const Csr&, vertex_t, const BfsOptions&);
-template BfsResult bfs_kernel<GatekeeperSkipPolicy>(const Csr&, vertex_t, const BfsOptions&);
-template BfsResult bfs_kernel<CriticalPolicy>(const Csr&, vertex_t, const BfsOptions&);
-// Instrumented variants for the contention-profiling entry points.
-template BfsResult bfs_kernel<InstrumentedPolicy<CasLtPolicy>>(const Csr&, vertex_t,
-                                                               const BfsOptions&);
-template BfsResult bfs_kernel<InstrumentedPolicy<GatekeeperPolicy>>(const Csr&, vertex_t,
-                                                                    const BfsOptions&);
-template BfsResult bfs_kernel<InstrumentedPolicy<GatekeeperSkipPolicy>>(const Csr&, vertex_t,
-                                                                        const BfsOptions&);
-
-}  // namespace detail
-
-BfsResult bfs_naive(const Csr& g, vertex_t source, const BfsOptions& opts) {
-  const std::uint64_t n = g.num_vertices();
-  BfsResult result = make_result(n, source);
-
-  const auto offsets = g.offsets();
-  const auto targets = g.targets();
-  auto* level = result.level.data();
-  auto* parent = result.parent.data();
-  auto* sel_edge = result.sel_edge.data();
-
-  const int threads = opts.threads > 0 ? opts.threads : omp_get_max_threads();
-  const auto count = static_cast<std::int64_t>(n);
-
-  std::int64_t l = 0;
-  bool done = false;
-  while (!done) {
-    std::uint8_t frontier_empty = 1;
-
-#pragma omp parallel for num_threads(threads) schedule(static) \
-    reduction(&& : frontier_empty)
-    for (std::int64_t vi = 0; vi < count; ++vi) {
-      const auto v = static_cast<vertex_t>(vi);
-      if (load_level(level[vi]) != l) continue;
-      for (edge_t j = offsets[v]; j < offsets[v + 1]; ++j) {
-        const vertex_t u = targets[j];
-        if (load_level(level[u]) != -1) continue;
-        // Rodinia's original: no winner selection — every discovering edge
-        // performs the whole write. Level is a common CW (same value L+1)
-        // and stays correct; parent/sel_edge are arbitrary CWs racing each
-        // other, so the committed pair may be MIXED across writers (the §4
-        // hazard; tests only validate levels for this variant, and
-        // tests/test_bfs.cpp demonstrates the mixed-pair outcome).
-        std::atomic_ref<vertex_t>(parent[u]).store(v, std::memory_order_relaxed);
-        std::atomic_ref<edge_t>(sel_edge[u]).store(j, std::memory_order_relaxed);
-        store_level(level[u], l + 1);
-        frontier_empty = 0;
-      }
-    }
-    done = frontier_empty != 0;
-    ++l;
-  }
-
-  result.rounds = static_cast<std::uint64_t>(l);
-  return result;
-}
-
-namespace detail {
+/// How bfs_frontier_kernel allocates next-frontier slots: per-thread
+/// chunked grants through a SlotAllocator (one shared RMW per chunk), or
+/// the original per-discovery shared fetch_add (kept as the baseline the
+/// contention counters are compared against).
+enum class SlotMode { kChunked, kShared };
 
 template <WritePolicy Policy>
 BfsResult bfs_frontier_kernel(const Csr& g, vertex_t source, const BfsOptions& opts,
                               SlotMode slot_mode) {
   const std::uint64_t n = g.num_vertices();
   BfsResult result = make_result(n, source);
+  const Tree tree(result);
 
   const auto offsets = g.offsets();
   const auto targets = g.targets();
-  auto* level = result.level.data();
-  auto* parent = result.parent.data();
-  auto* sel_edge = result.sel_edge.data();
 
   WriteArbiter<Policy> arbiter(n);
   const int threads = opts.threads > 0 ? opts.threads : omp_get_max_threads();
@@ -214,6 +168,7 @@ BfsResult bfs_frontier_kernel(const Csr& g, vertex_t source, const BfsOptions& o
   // compact() squeezes out again). Levels exchange the buffers with
   // std::swap — no O(frontier) copy per level.
   SlotAllocator slots(threads);
+  std::atomic<std::uint64_t> tail{0};  // the one shared cursor of kShared
   const std::size_t cap = static_cast<std::size_t>(
       slot_mode == SlotMode::kChunked ? slots.capacity_for(n) : n);
   std::vector<vertex_t> frontier(cap);
@@ -228,46 +183,27 @@ BfsResult bfs_frontier_kernel(const Csr& g, vertex_t source, const BfsOptions& o
     const auto fcount = static_cast<std::int64_t>(fsize);
     auto* next_data = next.data();
 
-    if (slot_mode == SlotMode::kChunked) {
-      // Frontier vertices own very different degrees; dynamic chunks keep
-      // threads busy on skewed graphs (util/chunking.hpp).
-#pragma omp parallel for num_threads(threads) schedule(dynamic, chunk)
-      for (std::int64_t fi = 0; fi < fcount; ++fi) {
-        const vertex_t v = frontier[static_cast<std::size_t>(fi)];
-        const int lane = omp_get_thread_num();
-        for (edge_t j = offsets[v]; j < offsets[v + 1]; ++j) {
-          const vertex_t u = targets[j];
-          if (load_level(level[u]) != -1) continue;
-          if (scope.acquire(u)) {
-            parent[u] = v;
-            sel_edge[u] = j;
-            store_level(level[u], l + 1);
-            // Slot-allocating CW through the lane's private cursor: one
-            // shared fetch_add per chunk of discoveries, not per discovery.
-            next_data[slots.grant(lane)] = u;
-          }
-        }
+    // Frontier vertices own very different degrees; dynamic chunks keep
+    // threads busy on skewed graphs (util/chunking.hpp).
+#pragma omp parallel for num_threads(threads) schedule(dynamic, chunk) firstprivate(tree)
+    for (std::int64_t fi = 0; fi < fcount; ++fi) {
+      const vertex_t v = frontier[static_cast<std::size_t>(fi)];
+      const int lane = omp_get_thread_num();
+      for (edge_t j = offsets[v]; j < offsets[v + 1]; ++j) {
+        const vertex_t u = targets[j];
+        if (!tree.discover(scope, v, j, u, l + 1)) continue;
+        // The slot-allocating CW: the lane's private cursor costs one shared
+        // fetch_add per chunk of discoveries; the baseline RMWs the one
+        // shared tail for every discovery.
+        next_data[slot_mode == SlotMode::kChunked
+                      ? slots.grant(lane)
+                      : tail.fetch_add(1, std::memory_order_relaxed)] = u;
       }
+    }
+    if (slot_mode == SlotMode::kChunked) {
       fsize = slots.compact(next_data);
     } else {
-      std::atomic<std::uint64_t> tail{0};
-#pragma omp parallel for num_threads(threads) schedule(dynamic, chunk)
-      for (std::int64_t fi = 0; fi < fcount; ++fi) {
-        const vertex_t v = frontier[static_cast<std::size_t>(fi)];
-        for (edge_t j = offsets[v]; j < offsets[v + 1]; ++j) {
-          const vertex_t u = targets[j];
-          if (load_level(level[u]) != -1) continue;
-          if (scope.acquire(u)) {
-            parent[u] = v;
-            sel_edge[u] = j;
-            store_level(level[u], l + 1);
-            // The baseline: fetch_add allocates a unique slot — every
-            // discoverer RMWs the one shared tail.
-            next_data[tail.fetch_add(1, std::memory_order_relaxed)] = u;
-          }
-        }
-      }
-      fsize = tail.load();
+      fsize = tail.exchange(0, std::memory_order_relaxed);
       shared_rmws += fsize;
     }
 
@@ -287,32 +223,55 @@ BfsResult bfs_frontier_kernel(const Csr& g, vertex_t source, const BfsOptions& o
   return result;
 }
 
-template BfsResult bfs_frontier_kernel<CasLtPolicy>(const Csr&, vertex_t,
-                                                    const BfsOptions&, SlotMode);
-template BfsResult bfs_frontier_kernel<InstrumentedPolicy<CasLtPolicy>>(
-    const Csr&, vertex_t, const BfsOptions&, SlotMode);
+// ---------------------------------------------------------------------------
+// The method table behind run_bfs and profile_bfs.
 
-}  // namespace detail
+/// A frontier-queue row (always CAS-LT-guarded); `slots` picks the slot.
+struct Frontier {
+  SlotMode slots;
+};
+/// The direction-optimizing row: no instrumentable arbiter of its own.
+struct DirectionOptimizing {};
+
+using BfsRow = std::variant<PolicyRow<NaivePolicy>, PolicyRow<GatekeeperPolicy>,
+                            PolicyRow<GatekeeperSkipPolicy>, PolicyRow<CasLtPolicy>,
+                            PolicyRow<CriticalPolicy>, Frontier, DirectionOptimizing>;
+
+constexpr auto kBfsMethods = std::to_array<methods::Entry<BfsRow>>({
+    // Figures 7–9: the level-scan kernel under each write policy.
+    {"naive", PolicyRow<NaivePolicy>{}},
+    {"gatekeeper", PolicyRow<GatekeeperPolicy>{}},
+    {"gatekeeper-sparse", PolicyRow<GatekeeperPolicy>{Reset::kSparse}},
+    {"gatekeeper-skip", PolicyRow<GatekeeperSkipPolicy>{}},
+    {"caslt", PolicyRow<CasLtPolicy>{}},
+    {"critical", PolicyRow<CriticalPolicy>{}},
+    // Structural variants beyond the paper's comparison (all CAS-LT based).
+    {"frontier", Frontier{SlotMode::kChunked}},
+    {"frontier-shared", Frontier{SlotMode::kShared}},
+    {"direction-optimizing", DirectionOptimizing{}},
+});
+
+}  // namespace
+
+BfsResult bfs_caslt(const Csr& g, vertex_t source, const BfsOptions& opts) {
+  return bfs_kernel<CasLtPolicy>(g, source, opts, Reset::kSweep);
+}
 
 BfsResult bfs_frontier(const Csr& g, vertex_t source, const BfsOptions& opts) {
-  return detail::bfs_frontier_kernel<CasLtPolicy>(g, source, opts,
-                                                  detail::SlotMode::kChunked);
+  return bfs_frontier_kernel<CasLtPolicy>(g, source, opts, SlotMode::kChunked);
 }
 
 BfsResult bfs_frontier_shared(const Csr& g, vertex_t source, const BfsOptions& opts) {
-  return detail::bfs_frontier_kernel<CasLtPolicy>(g, source, opts,
-                                                  detail::SlotMode::kShared);
+  return bfs_frontier_kernel<CasLtPolicy>(g, source, opts, SlotMode::kShared);
 }
 
 BfsResult bfs_direction_optimizing(const Csr& g, vertex_t source, const BfsOptions& opts) {
   const std::uint64_t n = g.num_vertices();
   BfsResult result = make_result(n, source);
+  const Tree tree(result);
 
   const auto offsets = g.offsets();
   const auto targets = g.targets();
-  auto* level = result.level.data();
-  auto* parent = result.parent.data();
-  auto* sel_edge = result.sel_edge.data();
 
   WriteArbiter<CasLtPolicy> arbiter(n);
   const int threads = opts.threads > 0 ? opts.threads : omp_get_max_threads();
@@ -333,18 +292,14 @@ BfsResult bfs_direction_optimizing(const Csr& g, vertex_t source, const BfsOptio
 
     if (frontier_edges < dense_threshold) {
       // Top-down: the Fig 3(a) step, arbitration by CAS-LT.
-#pragma omp parallel for num_threads(threads) schedule(static) \
+#pragma omp parallel for num_threads(threads) schedule(static) firstprivate(tree) \
     reduction(&& : frontier_empty) reduction(+ : next_edges)
       for (std::int64_t vi = 0; vi < count; ++vi) {
         const auto v = static_cast<vertex_t>(vi);
-        if (load_level(level[vi]) != l) continue;
+        if (load_level(tree.level[vi]) != l) continue;
         for (edge_t j = offsets[v]; j < offsets[v + 1]; ++j) {
           const vertex_t u = targets[j];
-          if (load_level(level[u]) != -1) continue;
-          if (scope.acquire(u)) {
-            parent[u] = v;
-            sel_edge[u] = j;
-            store_level(level[u], l + 1);
+          if (tree.discover(scope, v, j, u, l + 1)) {
             frontier_empty = 0;
             next_edges += g.degree(u);
           }
@@ -354,22 +309,22 @@ BfsResult bfs_direction_optimizing(const Csr& g, vertex_t source, const BfsOptio
       // Bottom-up: each unvisited vertex claims ITSELF on finding a
       // frontier neighbour. parent/sel_edge/level[u] are written by u's
       // own processor only — exclusive writes, zero CW arbitration.
-#pragma omp parallel for num_threads(threads) schedule(dynamic, bu_chunk) \
+#pragma omp parallel for num_threads(threads) schedule(dynamic, bu_chunk) firstprivate(tree) \
     reduction(&& : frontier_empty) reduction(+ : next_edges)
       for (std::int64_t ui = 0; ui < count; ++ui) {
         const auto u = static_cast<vertex_t>(ui);
-        if (load_level(level[ui]) != -1) continue;
+        if (load_level(tree.level[ui]) != -1) continue;
         for (edge_t j = offsets[u]; j < offsets[u + 1]; ++j) {
           const vertex_t v = targets[j];
-          if (load_level(level[v]) != l) continue;
-          parent[u] = v;
+          if (load_level(tree.level[v]) != l) continue;
+          tree.parent[u] = v;
           // Record the (v -> u) slot, like the top-down kernel does. The
           // sorted CSR makes the reverse slot findable by binary search.
           const auto adj_begin = targets.begin() + static_cast<std::ptrdiff_t>(offsets[v]);
           const auto adj_end = targets.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]);
           const auto it = std::lower_bound(adj_begin, adj_end, u);
-          sel_edge[u] = offsets[v] + static_cast<edge_t>(it - adj_begin);
-          store_level(level[ui], l + 1);
+          tree.sel_edge[u] = offsets[v] + static_cast<edge_t>(it - adj_begin);
+          store_relaxed(tree.level[ui], l + 1);
           frontier_empty = 0;
           next_edges += g.degree(u);
           break;
@@ -386,26 +341,45 @@ BfsResult bfs_direction_optimizing(const Csr& g, vertex_t source, const BfsOptio
   return result;
 }
 
-BfsResult bfs_gatekeeper(const Csr& g, vertex_t source, const BfsOptions& opts) {
-  return detail::bfs_kernel<GatekeeperPolicy>(g, source, opts);
+BfsResult run_bfs(std::string_view method, const Csr& g, vertex_t source,
+                  const BfsOptions& opts) {
+  return std::visit(
+      methods::Overloaded{
+          [&]<WritePolicy P>(PolicyRow<P> row) {
+            return bfs_kernel<P>(g, source, opts, row.reset);
+          },
+          [&](Frontier row) {
+            return bfs_frontier_kernel<CasLtPolicy>(g, source, opts, row.slots);
+          },
+          [&](DirectionOptimizing) { return bfs_direction_optimizing(g, source, opts); }},
+      methods::find(kBfsMethods, "bfs", method));
 }
 
-BfsResult bfs_gatekeeper_sparse(const Csr& g, vertex_t source, const BfsOptions& opts) {
-  BfsOptions sparse = opts;
-  sparse.sparse_reset = true;
-  return detail::bfs_kernel<GatekeeperPolicy>(g, source, sparse);
-}
-
-BfsResult bfs_gatekeeper_skip(const Csr& g, vertex_t source, const BfsOptions& opts) {
-  return detail::bfs_kernel<GatekeeperSkipPolicy>(g, source, opts);
-}
-
-BfsResult bfs_caslt(const Csr& g, vertex_t source, const BfsOptions& opts) {
-  return detail::bfs_kernel<CasLtPolicy>(g, source, opts);
-}
-
-BfsResult bfs_critical(const Csr& g, vertex_t source, const BfsOptions& opts) {
-  return detail::bfs_kernel<CriticalPolicy>(g, source, opts);
+std::optional<obs::ContentionTotals> profile_bfs(std::string_view method, const Csr& g,
+                                                 vertex_t source, const BfsOptions& opts) {
+  using Profile = std::optional<obs::ContentionTotals>;
+  return std::visit(
+      methods::Overloaded{
+          [&]<WritePolicy P>(PolicyRow<P> row) -> Profile {
+            if constexpr (methods::Instrumentable<P>) {
+              return methods::profiled([&] {
+                (void)bfs_kernel<InstrumentedPolicy<P>>(g, source, opts, row.reset);
+              });
+            } else {
+              return std::nullopt;
+            }
+          },
+          // The frontier pair also reports its slot-allocation RMWs (a
+          // "frontier-slots" site: attempts = slots granted, atomics =
+          // shared fetch_adds — chunked grants shrink exactly that number).
+          [&](Frontier row) -> Profile {
+            return methods::profiled([&] {
+              (void)bfs_frontier_kernel<InstrumentedPolicy<CasLtPolicy>>(g, source, opts,
+                                                                         row.slots);
+            });
+          },
+          [](DirectionOptimizing) -> Profile { return std::nullopt; }},
+      methods::find(kBfsMethods, "bfs", method));
 }
 
 }  // namespace crcw::algo

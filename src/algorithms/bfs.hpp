@@ -25,17 +25,12 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/policies.hpp"
 #include "graph/csr.hpp"
 
 namespace crcw::algo {
 
 struct BfsOptions {
   int threads = 0;  ///< OpenMP threads; 0 = ambient setting
-  /// Gatekeeper-family only: reset per-level tags from the touched lists
-  /// (O(#discoveries-last-level)) instead of the paper-faithful Θ(N)
-  /// sweep. No effect on reset-free policies (CAS-LT).
-  bool sparse_reset = false;
 };
 
 struct BfsResult {
@@ -44,21 +39,6 @@ struct BfsResult {
   std::vector<graph::edge_t> sel_edge;   ///< CSR slot that discovered v
   std::uint64_t rounds = 0;              ///< executed level iterations
 };
-
-namespace detail {
-template <WritePolicy Policy>
-BfsResult bfs_kernel(const graph::Csr& g, graph::vertex_t source, const BfsOptions& opts);
-
-/// How bfs_frontier_kernel allocates next-frontier slots: per-thread
-/// chunked grants through a SlotAllocator (one shared RMW per chunk), or
-/// the original per-discovery shared fetch_add (kept as the baseline the
-/// contention counters are compared against).
-enum class SlotMode { kChunked, kShared };
-
-template <WritePolicy Policy>
-BfsResult bfs_frontier_kernel(const graph::Csr& g, graph::vertex_t source,
-                              const BfsOptions& opts, SlotMode slot_mode);
-}
 
 /// Frontier-queue BFS (the other Rodinia formulation): instead of scanning
 /// all N vertices per level (Fig 3 line 15), an explicit frontier array is
@@ -83,27 +63,19 @@ BfsResult bfs_frontier_kernel(const graph::Csr& g, graph::vertex_t source,
 /// BOTTOM-UP steps, where each *unvisited* vertex scans its own adjacency
 /// for a visited neighbour and claims itself — an exclusive write, no
 /// concurrent-write machinery at all. Sparse frontiers run the CAS-LT
-/// top-down step. The switch threshold is `alpha` × average degree. A
+/// top-down step. A level runs bottom-up once the frontier's edge volume
+/// (the sum of its vertices' degrees) reaches num_edges() / 8. A
 /// counterpoint inside the library: restructuring can sometimes remove the
 /// need for CW entirely, at the price of extra edge scans.
 [[nodiscard]] BfsResult bfs_direction_optimizing(const graph::Csr& g,
                                                  graph::vertex_t source,
                                                  const BfsOptions& opts = {});
 
-/// One entry point per method compared in Figures 7–9.
-[[nodiscard]] BfsResult bfs_naive(const graph::Csr& g, graph::vertex_t source,
-                                  const BfsOptions& opts = {});
-[[nodiscard]] BfsResult bfs_gatekeeper(const graph::Csr& g, graph::vertex_t source,
-                                       const BfsOptions& opts = {});
-/// Gatekeeper with sparse per-level reset (opts.sparse_reset forced on):
-/// the new ablation axis against the Θ(N)-sweep bfs_gatekeeper baseline.
-[[nodiscard]] BfsResult bfs_gatekeeper_sparse(const graph::Csr& g, graph::vertex_t source,
-                                              const BfsOptions& opts = {});
-[[nodiscard]] BfsResult bfs_gatekeeper_skip(const graph::Csr& g, graph::vertex_t source,
-                                            const BfsOptions& opts = {});
+/// Figure 3(a), the CAS-LT method. Every method of Figures 7–9 — naive,
+/// gatekeeper, gatekeeper-sparse, gatekeeper-skip, caslt, critical — is
+/// this one level-scan kernel under another write policy, run by name
+/// through run_bfs (algorithms/dispatch.hpp).
 [[nodiscard]] BfsResult bfs_caslt(const graph::Csr& g, graph::vertex_t source,
                                   const BfsOptions& opts = {});
-[[nodiscard]] BfsResult bfs_critical(const graph::Csr& g, graph::vertex_t source,
-                                     const BfsOptions& opts = {});
 
 }  // namespace crcw::algo

@@ -3,14 +3,17 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <optional>
 #include <span>
 #include <stdexcept>
+#include <variant>
 #include <vector>
 
-#include "core/arbiter.hpp"
+#include "algorithms/dispatch.hpp"
+#include "algorithms/method_table.hpp"
 #include "core/combining.hpp"
-#include "core/instrumented.hpp"
 
 namespace crcw::algo {
 namespace {
@@ -18,6 +21,8 @@ namespace {
 using graph::Csr;
 using graph::edge_t;
 using graph::vertex_t;
+using methods::PolicyRow;
+using methods::Reset;
 
 constexpr edge_t kNoEdge = static_cast<edge_t>(-1);
 
@@ -103,12 +108,9 @@ std::uint64_t count_roots(const std::vector<vertex_t>& parent, int threads) {
   return roots;
 }
 
-}  // namespace
-
-namespace detail {
-
+/// The Awerbuch–Shiloach kernel of Figures 10–12 over a write policy.
 template <WritePolicy Policy>
-CcResult cc_kernel(const Csr& g, const CcOptions& opts) {
+CcResult cc_kernel(const Csr& g, const CcOptions& opts, Reset reset) {
   const std::uint64_t n = g.num_vertices();
   const int threads = opts.threads > 0 ? opts.threads : omp_get_max_threads();
   const auto vcount = static_cast<std::int64_t>(n);
@@ -121,19 +123,7 @@ CcResult cc_kernel(const Csr& g, const CcOptions& opts) {
   std::vector<vertex_t> snapshot(n);             // pre-substep P (PRAM read set)
   std::vector<std::uint8_t> star(n);
   std::vector<edge_t> hook_edge(n, kNoEdge);  // 2nd member of the multi-array hook
-  ArbiterConfig cfg;
-  cfg.tracking = opts.sparse_reset ? TouchTracking::kEnabled : TouchTracking::kDisabled;
-  cfg.lanes = threads;
-  cfg.first_touch = util::FirstTouch::kParallel;  // tag pages with the sweepers
-  cfg.first_touch_threads = threads;
-  WriteArbiter<Policy> arbiter(n, cfg);
-  const auto reset_tags = [&] {
-    if (opts.sparse_reset) {
-      arbiter.reset_tags_sparse(threads);
-    } else {
-      arbiter.reset_tags_parallel(threads);
-    }
-  };
+  WriteArbiter<Policy> arbiter(n, methods::round_config(reset, threads));
 
 #pragma omp parallel for num_threads(threads) schedule(static)
   for (std::int64_t v = 0; v < vcount; ++v) {
@@ -158,7 +148,7 @@ CcResult cc_kernel(const Csr& g, const CcOptions& opts) {
     // The gatekeeper re-initialisation sweep, once per hooking substep —
     // the recurring Θ(N) cost CAS-LT does not pay (§6); sparse mode sweeps
     // only the tags last substep's winning hooks touched.
-    reset_tags();
+    methods::rearm(arbiter, reset, threads);
     auto scope = arbiter.next_round(ResetMode::kCaller);
     return walk_rows(g, threads, [&](vertex_t u, edge_t first, edge_t last) {
       if (star[u] == 0) return false;
@@ -247,38 +237,27 @@ CcResult cc_kernel(const Csr& g, const CcOptions& opts) {
   return result;
 }
 
-template CcResult cc_kernel<CasLtPolicy>(const Csr&, const CcOptions&);
-template CcResult cc_kernel<GatekeeperPolicy>(const Csr&, const CcOptions&);
-template CcResult cc_kernel<GatekeeperSkipPolicy>(const Csr&, const CcOptions&);
-template CcResult cc_kernel<CriticalPolicy>(const Csr&, const CcOptions&);
-// Instrumented variants for the contention-profiling entry points.
-template CcResult cc_kernel<InstrumentedPolicy<CasLtPolicy>>(const Csr&, const CcOptions&);
-template CcResult cc_kernel<InstrumentedPolicy<GatekeeperPolicy>>(const Csr&, const CcOptions&);
-template CcResult cc_kernel<InstrumentedPolicy<GatekeeperSkipPolicy>>(const Csr&,
-                                                                      const CcOptions&);
+/// The min-label hooking row (cc_min_hook): combining writes, no arbiter.
+struct MinHook {};
 
-}  // namespace detail
+using CcRow = std::variant<PolicyRow<GatekeeperPolicy>, PolicyRow<GatekeeperSkipPolicy>,
+                           PolicyRow<CasLtPolicy>, PolicyRow<CriticalPolicy>, MinHook>;
 
-CcResult cc_gatekeeper(const Csr& g, const CcOptions& opts) {
-  return detail::cc_kernel<GatekeeperPolicy>(g, opts);
-}
+/// The method table behind run_cc and profile_cc: Figures 10–12 run the
+/// A-S kernel under each write policy (no naive row — see cc.hpp).
+constexpr auto kCcMethods = std::to_array<methods::Entry<CcRow>>({
+    {"gatekeeper", PolicyRow<GatekeeperPolicy>{}},
+    {"gatekeeper-sparse", PolicyRow<GatekeeperPolicy>{Reset::kSparse}},
+    {"gatekeeper-skip", PolicyRow<GatekeeperSkipPolicy>{}},
+    {"caslt", PolicyRow<CasLtPolicy>{}},
+    {"critical", PolicyRow<CriticalPolicy>{}},
+    {"min-hook", MinHook{}},
+});
 
-CcResult cc_gatekeeper_sparse(const Csr& g, const CcOptions& opts) {
-  CcOptions sparse = opts;
-  sparse.sparse_reset = true;
-  return detail::cc_kernel<GatekeeperPolicy>(g, sparse);
-}
-
-CcResult cc_gatekeeper_skip(const Csr& g, const CcOptions& opts) {
-  return detail::cc_kernel<GatekeeperSkipPolicy>(g, opts);
-}
+}  // namespace
 
 CcResult cc_caslt(const Csr& g, const CcOptions& opts) {
-  return detail::cc_kernel<CasLtPolicy>(g, opts);
-}
-
-CcResult cc_critical(const Csr& g, const CcOptions& opts) {
-  return detail::cc_kernel<CriticalPolicy>(g, opts);
+  return cc_kernel<CasLtPolicy>(g, opts, Reset::kSweep);
 }
 
 CcResult cc_min_hook(const Csr& g, const CcOptions& opts) {
@@ -360,6 +339,31 @@ CcResult cc_min_hook(const Csr& g, const CcOptions& opts) {
   result.iterations = iterations;
   result.components = count_roots(result.label, threads);
   return result;
+}
+
+CcResult run_cc(std::string_view method, const Csr& g, const CcOptions& opts) {
+  return std::visit(
+      methods::Overloaded{
+          [&]<WritePolicy P>(PolicyRow<P> row) { return cc_kernel<P>(g, opts, row.reset); },
+          [&](MinHook) { return cc_min_hook(g, opts); }},
+      methods::find(kCcMethods, "cc", method));
+}
+
+std::optional<obs::ContentionTotals> profile_cc(std::string_view method, const Csr& g,
+                                                const CcOptions& opts) {
+  using Profile = std::optional<obs::ContentionTotals>;
+  return std::visit(
+      methods::Overloaded{[&]<WritePolicy P>(PolicyRow<P> row) -> Profile {
+                            if constexpr (methods::Instrumentable<P>) {
+                              return methods::profiled([&] {
+                                (void)cc_kernel<InstrumentedPolicy<P>>(g, opts, row.reset);
+                              });
+                            } else {
+                              return std::nullopt;
+                            }
+                          },
+                          [](MinHook) -> Profile { return std::nullopt; }},
+      methods::find(kCcMethods, "cc", method));
 }
 
 }  // namespace crcw::algo

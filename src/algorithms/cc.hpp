@@ -41,16 +41,12 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/policies.hpp"
 #include "graph/csr.hpp"
 
 namespace crcw::algo {
 
 struct CcOptions {
   int threads = 0;  ///< OpenMP threads; 0 = ambient setting
-  /// Gatekeeper-family only: reset each hooking substep's tags from the
-  /// touched lists (O(#hooks-last-substep)) instead of the Θ(N) sweep.
-  bool sparse_reset = false;
 };
 
 struct CcResult {
@@ -68,20 +64,11 @@ struct CcResult {
   std::uint64_t components = 0;   ///< number of distinct labels
 };
 
-namespace detail {
-template <WritePolicy Policy>
-CcResult cc_kernel(const graph::Csr& g, const CcOptions& opts);
-}
-
-/// One entry point per CW method compared in Figures 10–12 (no naive
-/// variant exists — see above).
-[[nodiscard]] CcResult cc_gatekeeper(const graph::Csr& g, const CcOptions& opts = {});
-/// Gatekeeper with sparse substep resets (opts.sparse_reset forced on) —
-/// the ablation partner of cc_gatekeeper's paper-faithful Θ(N) sweeps.
-[[nodiscard]] CcResult cc_gatekeeper_sparse(const graph::Csr& g, const CcOptions& opts = {});
-[[nodiscard]] CcResult cc_gatekeeper_skip(const graph::Csr& g, const CcOptions& opts = {});
+/// The A-S kernel with CAS-LT. Every method of Figures 10–12 — gatekeeper,
+/// gatekeeper-sparse, gatekeeper-skip, caslt, critical — is this one kernel
+/// under another write policy, run by name through run_cc
+/// (algorithms/dispatch.hpp).
 [[nodiscard]] CcResult cc_caslt(const graph::Csr& g, const CcOptions& opts = {});
-[[nodiscard]] CcResult cc_critical(const graph::Csr& g, const CcOptions& opts = {});
 
 /// Shiloach–Vishkin-style min-label hooking baseline: every edge offers the
 /// smaller endpoint label to the larger label's cell via atomic fetch-min

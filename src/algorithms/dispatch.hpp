@@ -1,6 +1,18 @@
 // String-keyed dispatch over the concurrent-write methods — the seam the
-// examples and figure benches use to select a variant at runtime
-// (`--method caslt|gatekeeper|gatekeeper-skip|naive|critical`).
+// examples and figure benches use to select a variant at runtime. The
+// `--method` names each run_* accepts:
+//
+//   max  naive, gatekeeper, gatekeeper-skip, caslt, critical;
+//        structural: reduce
+//   bfs  naive, gatekeeper, gatekeeper-sparse, gatekeeper-skip, caslt,
+//        critical; structural: frontier, frontier-shared,
+//        direction-optimizing
+//   cc   gatekeeper, gatekeeper-sparse, gatekeeper-skip, caslt, critical;
+//        structural: min-hook
+//
+// The policy names of one kernel are one kernel template under different
+// write policies; run_X and profile_X read the same method table (in
+// max.cpp, bfs.cpp, cc.cpp), so a name times and counts the same kernel.
 #pragma once
 
 #include <optional>
@@ -19,7 +31,9 @@
 
 namespace crcw::algo {
 
-/// Methods available per kernel, in the order the paper discusses them.
+/// The methods the examples compare per kernel, in the order the paper
+/// discusses them (plus CC's min-hook baseline); run_* also accepts the
+/// other structural names listed above.
 [[nodiscard]] std::vector<std::string> max_methods();
 [[nodiscard]] std::vector<std::string> bfs_methods();
 [[nodiscard]] std::vector<std::string> cc_methods();  ///< no "naive": unsafe (§7.2)
@@ -54,7 +68,8 @@ namespace crcw::algo {
 /// "frontier"/"frontier-shared" pair is profiled — including a
 /// "frontier-slots" site whose atomics count the slot-allocation RMWs the
 /// chunked SlotAllocator exists to shrink; "gatekeeper-sparse" reports
-/// reset_tags = O(#writes) against "gatekeeper"'s Θ(N)·levels.
+/// reset_tags = O(#writes) against "gatekeeper"'s Θ(N)·levels. Throws
+/// std::invalid_argument for a name run_* rejects.
 [[nodiscard]] std::optional<obs::ContentionTotals> profile_max(
     std::string_view method, std::span<const std::uint32_t> list,
     const MaxOptions& opts = {});

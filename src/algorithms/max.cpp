@@ -3,16 +3,20 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <optional>
 #include <stdexcept>
+#include <variant>
 #include <vector>
 
-#include "core/arbiter.hpp"
-#include "core/instrumented.hpp"
-#include "util/aligned_buffer.hpp"
+#include "algorithms/dispatch.hpp"
+#include "algorithms/method_table.hpp"
 
 namespace crcw::algo {
 namespace {
+
+using methods::PolicyRow;
 
 void require_nonempty(std::span<const std::uint32_t> list) {
   if (list.empty()) throw std::invalid_argument("max of empty list");
@@ -32,6 +36,59 @@ std::uint64_t survivor(std::span<const std::uint8_t> is_max) {
   }
   return max_idx;
 }
+
+/// The Figure 4 kernel over a write policy; isMax flags and policy tags are
+/// allocated per call. Flattens the collapse(2) pair loop into one index
+/// space of N² virtual processors.
+template <WritePolicy Policy>
+std::uint64_t max_index_kernel(std::span<const std::uint32_t> list, const MaxOptions& opts) {
+  require_nonempty(list);
+  const std::uint64_t n = list.size();
+  std::vector<std::uint8_t> is_max(n, 1);
+  methods::ArbiterFor<Policy> arbiter(n);
+  auto scope = arbiter.next_round();
+
+  const auto pairs = static_cast<std::int64_t>(n * n);
+  const int threads = opts.threads > 0 ? opts.threads : omp_get_max_threads();
+#pragma omp parallel for num_threads(threads) schedule(static)
+  for (std::int64_t k = 0; k < pairs; ++k) {
+    const auto i = static_cast<std::uint64_t>(k) / n;
+    const auto j = static_cast<std::uint64_t>(k) % n;
+    if (i == j) continue;
+    const std::uint64_t loser = loses(list, i, j) ? i : j;
+    // Common concurrent write of `false` (Fig 4 line 10), through relaxed
+    // atomic_ref: the same x86 mov as a plain store, and no C++ data race.
+    // Naive admits every writer and lets coherence serialise the stores;
+    // the other policies admit one and let every later contender skip
+    // (tags stay valid: one round total).
+    if (scope.acquire(loser)) {
+      std::atomic_ref<std::uint8_t>(is_max[loser]).store(0, std::memory_order_relaxed);
+    }
+  }
+  // Implicit barrier above is the PRAM synchronisation point before the
+  // dependent read below.
+  return survivor(is_max);
+}
+
+/// The O(N)-work OpenMP reduction row (max_index_reduce).
+struct Reduce {};
+
+using MaxRow = std::variant<PolicyRow<NaivePolicy>, PolicyRow<GatekeeperPolicy>,
+                            PolicyRow<GatekeeperSkipPolicy>, PolicyRow<CasLtPolicy>,
+                            PolicyRow<CriticalPolicy>, Reduce>;
+
+/// The method table behind run_max and profile_max: Figures 5–6 run the
+/// Figure 4 kernel under each write policy. Max is one round, so every
+/// policy row keeps the default reset (the arbiter's own sweep, a no-op on
+/// fresh tags).
+constexpr auto kMaxMethods = std::to_array<methods::Entry<MaxRow>>({
+    {"naive", PolicyRow<NaivePolicy>{}},
+    {"gatekeeper", PolicyRow<GatekeeperPolicy>{}},
+    {"gatekeeper-skip", PolicyRow<GatekeeperSkipPolicy>{}},
+    {"caslt", PolicyRow<CasLtPolicy>{}},
+    {"critical", PolicyRow<CriticalPolicy>{}},
+    {"reduce", Reduce{}},
+});
 
 }  // namespace
 
@@ -131,95 +188,35 @@ std::uint64_t max_index_doubly_log(std::span<const std::uint32_t> list,
   return candidates[0];
 }
 
-namespace detail {
-
-template <WritePolicy Policy>
-std::uint64_t max_index_kernel(std::span<const std::uint32_t> list, const MaxOptions& opts) {
-  require_nonempty(list);
-  const std::uint64_t n = list.size();
-  std::vector<std::uint8_t> is_max(n, 1);
-  WriteArbiter<Policy> arbiter(n);
-  auto scope = arbiter.next_round();
-
-  const auto pairs = static_cast<std::int64_t>(n * n);
-  const int threads = opts.threads > 0 ? opts.threads : omp_get_max_threads();
-#pragma omp parallel for num_threads(threads) schedule(static)
-  for (std::int64_t k = 0; k < pairs; ++k) {
-    const auto i = static_cast<std::uint64_t>(k) / n;
-    const auto j = static_cast<std::uint64_t>(k) % n;
-    if (i == j) continue;
-    const std::uint64_t loser = loses(list, i, j) ? i : j;
-    // Common concurrent write of `false`; the policy admits one writer and
-    // lets every later contender skip (tags stay valid: one round total).
-    if (scope.acquire(loser)) is_max[loser] = 0;
-  }
-  // Implicit barrier above is the PRAM synchronisation point before the
-  // dependent read below.
-  return survivor(is_max);
-}
-
-std::uint64_t max_index_naive_impl(std::span<const std::uint32_t> list,
-                                   const MaxOptions& opts) {
-  require_nonempty(list);
-  const std::uint64_t n = list.size();
-  // The naive method issues every store; relaxed atomics express "let the
-  // memory system order them" without a C++ data race. All stores carry the
-  // same value, so this is a legal common CW (§4).
-  std::vector<std::uint8_t> is_max(n, 1);
-
-  const auto pairs = static_cast<std::int64_t>(n * n);
-  const int threads = opts.threads > 0 ? opts.threads : omp_get_max_threads();
-#pragma omp parallel for num_threads(threads) schedule(static)
-  for (std::int64_t k = 0; k < pairs; ++k) {
-    const auto i = static_cast<std::uint64_t>(k) / n;
-    const auto j = static_cast<std::uint64_t>(k) % n;
-    if (i == j) continue;
-    const std::uint64_t loser = loses(list, i, j) ? i : j;
-    std::atomic_ref<std::uint8_t>(is_max[loser]).store(0, std::memory_order_relaxed);
-  }
-  return survivor(is_max);
-}
-
-// The benchmark-facing wrappers below pin down the exact instantiations.
-template std::uint64_t max_index_kernel<CasLtPolicy>(std::span<const std::uint32_t>,
-                                                     const MaxOptions&);
-template std::uint64_t max_index_kernel<GatekeeperPolicy>(std::span<const std::uint32_t>,
-                                                          const MaxOptions&);
-template std::uint64_t max_index_kernel<GatekeeperSkipPolicy>(std::span<const std::uint32_t>,
-                                                              const MaxOptions&);
-template std::uint64_t max_index_kernel<CriticalPolicy>(std::span<const std::uint32_t>,
-                                                        const MaxOptions&);
-// Instrumented variants for the contention-profiling entry points
-// (algorithms/dispatch.hpp): same kernel, counted tags.
-template std::uint64_t max_index_kernel<InstrumentedPolicy<CasLtPolicy>>(
-    std::span<const std::uint32_t>, const MaxOptions&);
-template std::uint64_t max_index_kernel<InstrumentedPolicy<GatekeeperPolicy>>(
-    std::span<const std::uint32_t>, const MaxOptions&);
-template std::uint64_t max_index_kernel<InstrumentedPolicy<GatekeeperSkipPolicy>>(
-    std::span<const std::uint32_t>, const MaxOptions&);
-
-}  // namespace detail
-
-std::uint64_t max_index_naive(std::span<const std::uint32_t> list, const MaxOptions& opts) {
-  return detail::max_index_naive_impl(list, opts);
-}
-
-std::uint64_t max_index_gatekeeper(std::span<const std::uint32_t> list,
-                                   const MaxOptions& opts) {
-  return detail::max_index_kernel<GatekeeperPolicy>(list, opts);
-}
-
-std::uint64_t max_index_gatekeeper_skip(std::span<const std::uint32_t> list,
-                                        const MaxOptions& opts) {
-  return detail::max_index_kernel<GatekeeperSkipPolicy>(list, opts);
-}
-
 std::uint64_t max_index_caslt(std::span<const std::uint32_t> list, const MaxOptions& opts) {
-  return detail::max_index_kernel<CasLtPolicy>(list, opts);
+  return max_index_kernel<CasLtPolicy>(list, opts);
 }
 
-std::uint64_t max_index_critical(std::span<const std::uint32_t> list, const MaxOptions& opts) {
-  return detail::max_index_kernel<CriticalPolicy>(list, opts);
+std::uint64_t run_max(std::string_view method, std::span<const std::uint32_t> list,
+                      const MaxOptions& opts) {
+  return std::visit(
+      methods::Overloaded{
+          [&]<WritePolicy P>(PolicyRow<P>) { return max_index_kernel<P>(list, opts); },
+          [&](Reduce) { return max_index_reduce(list, opts); }},
+      methods::find(kMaxMethods, "max", method));
+}
+
+std::optional<obs::ContentionTotals> profile_max(std::string_view method,
+                                                 std::span<const std::uint32_t> list,
+                                                 const MaxOptions& opts) {
+  using Profile = std::optional<obs::ContentionTotals>;
+  return std::visit(
+      methods::Overloaded{[&]<WritePolicy P>(PolicyRow<P>) -> Profile {
+                            if constexpr (methods::Instrumentable<P>) {
+                              return methods::profiled([&] {
+                                (void)max_index_kernel<InstrumentedPolicy<P>>(list, opts);
+                              });
+                            } else {
+                              return std::nullopt;
+                            }
+                          },
+                          [](Reduce) -> Profile { return std::nullopt; }},
+      methods::find(kMaxMethods, "max", method));
 }
 
 }  // namespace crcw::algo

@@ -19,8 +19,6 @@
 #include <cstdint>
 #include <span>
 
-#include "core/policies.hpp"
-
 namespace crcw::algo {
 
 struct MaxOptions {
@@ -45,31 +43,10 @@ struct MaxOptions {
 [[nodiscard]] std::uint64_t max_index_doubly_log(std::span<const std::uint32_t> list,
                                                  const MaxOptions& opts = {});
 
-namespace detail {
-
-/// The Figure 4 kernel over a generic write policy; isMax flags and policy
-/// tags are allocated per call. Flattens the collapse(2) pair loop into one
-/// index space of N² virtual processors.
-template <WritePolicy Policy>
-std::uint64_t max_index_kernel(std::span<const std::uint32_t> list, const MaxOptions& opts);
-
-/// The naive variant stores directly (common CW through relaxed atomics —
-/// what Rodinia's code does, made race-free in the C++ memory model).
-std::uint64_t max_index_naive_impl(std::span<const std::uint32_t> list,
-                                   const MaxOptions& opts);
-
-}  // namespace detail
-
-/// One entry point per method compared in Figures 5 and 6.
-[[nodiscard]] std::uint64_t max_index_naive(std::span<const std::uint32_t> list,
-                                            const MaxOptions& opts = {});
-[[nodiscard]] std::uint64_t max_index_gatekeeper(std::span<const std::uint32_t> list,
-                                                 const MaxOptions& opts = {});
-[[nodiscard]] std::uint64_t max_index_gatekeeper_skip(std::span<const std::uint32_t> list,
-                                                      const MaxOptions& opts = {});
+/// Figure 4 with CAS-LT. Every method of Figures 5–6 — naive, gatekeeper,
+/// gatekeeper-skip, caslt, critical — is this one kernel under another
+/// write policy, run by name through run_max (algorithms/dispatch.hpp).
 [[nodiscard]] std::uint64_t max_index_caslt(std::span<const std::uint32_t> list,
                                             const MaxOptions& opts = {});
-[[nodiscard]] std::uint64_t max_index_critical(std::span<const std::uint32_t> list,
-                                               const MaxOptions& opts = {});
 
 }  // namespace crcw::algo

@@ -83,7 +83,8 @@ TEST_P(BfsMethodTest, SingleWinnerMethodsProduceConsistentTrees) {
 INSTANTIATE_TEST_SUITE_P(
     MethodsByGraphsByThreads, BfsMethodTest,
     ::testing::Combine(
-        ::testing::Values("naive", "gatekeeper", "gatekeeper-skip", "caslt", "critical"),
+        ::testing::Values("naive", "gatekeeper", "gatekeeper-sparse", "gatekeeper-skip",
+                          "caslt", "critical"),
         ::testing::Values("path64", "star256", "grid8x8", "gnm2k", "rmat", "disconnected",
                           "singleton"),
         ::testing::Values(1, 8)),
@@ -132,7 +133,7 @@ TEST(Bfs, StarMaximisesContentionButStaysCorrect) {
   // from a leaf the centre is the single hot target. All shapes must hold.
   const auto g = graph::build_csr(1000, graph::star(1000));
   for (const vertex_t src : {vertex_t{0}, vertex_t{1}}) {
-    const BfsResult r = bfs_gatekeeper(g, src);
+    const BfsResult r = run_bfs("gatekeeper", g, src);
     const auto expected = graph::bfs_levels(g, src);
     for (std::size_t v = 0; v < 1000; ++v) ASSERT_EQ(r.level[v], expected[v]);
   }
@@ -195,14 +196,119 @@ TEST(BfsFrontier, SlotAllocationLosesNoVertex) {
 }
 
 TEST(Bfs, GatekeeperVariantsNeedTheirReset) {
-  // Regression guard: on a 3-level path, a gatekeeper kernel without the
+  // Regression guard: on a 10-level path, a gatekeeper kernel without the
   // per-level reset would stall after level 1. If the kernel terminates
-  // with correct levels, the reset sweep ran.
+  // with correct levels, the reset (full sweep or sparse) ran.
   const auto g = graph::build_csr(10, graph::path(10));
-  const BfsResult r = bfs_gatekeeper(g, 0);
-  EXPECT_EQ(r.level[9], 9);
-  const BfsResult r2 = bfs_gatekeeper_skip(g, 0);
-  EXPECT_EQ(r2.level[9], 9);
+  for (const char* method : {"gatekeeper", "gatekeeper-sparse", "gatekeeper-skip"}) {
+    const BfsResult r = run_bfs(method, g, 0);
+    EXPECT_EQ(r.level[9], 9) << method;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One-thread differential: every policy of Figures 7–9 is the same
+// level-scan kernel, so at one thread each must commit exactly what a
+// serial copy of that loop commits.
+
+struct SerialReference {
+  BfsResult result;
+  std::uint64_t acquires = 0;  ///< edges that passed the visited check
+};
+
+/// Serial copy of the level-scan loop: every level scans all vertices in
+/// index order, and a vertex on the level relaxes its edges in CSR order;
+/// the first edge that finds u unvisited discovers it.
+SerialReference serial_reference(const Csr& g, vertex_t source) {
+  const std::uint64_t n = g.num_vertices();
+  SerialReference ref;
+  BfsResult& r = ref.result;
+  r.level.assign(n, -1);
+  r.parent.assign(n, kNoVertex);
+  r.sel_edge.assign(n, static_cast<graph::edge_t>(-1));
+  r.level[source] = 0;
+  r.parent[source] = source;
+  std::int64_t l = 0;
+  bool done = false;
+  while (!done) {
+    done = true;
+    for (vertex_t v = 0; v < n; ++v) {
+      if (r.level[v] != l) continue;
+      for (graph::edge_t j = g.offset(v); j < g.offset(v) + g.degree(v); ++j) {
+        const vertex_t u = g.targets()[j];
+        if (r.level[u] != -1) continue;
+        ++ref.acquires;
+        r.parent[u] = v;
+        r.sel_edge[u] = j;
+        r.level[u] = l + 1;
+        done = false;
+      }
+    }
+    ++l;
+  }
+  r.rounds = static_cast<std::uint64_t>(l);
+  return ref;
+}
+
+TEST(Bfs, SingleThreadMatchesSerialReference) {
+  for (const char* name : {"path64", "star256", "grid8x8", "gnm2k", "rmat", "disconnected"}) {
+    const GraphCase c = make_case(name);
+    const SerialReference ref = serial_reference(c.graph, c.source);
+    for (const char* method : {"naive", "caslt", "gatekeeper", "gatekeeper-sparse",
+                               "gatekeeper-skip", "critical"}) {
+      const BfsResult r = run_bfs(method, c.graph, c.source, {.threads = 1});
+      EXPECT_EQ(r.level, ref.result.level) << method << "/" << name;
+      EXPECT_EQ(r.parent, ref.result.parent) << method << "/" << name;
+      EXPECT_EQ(r.sel_edge, ref.result.sel_edge) << method << "/" << name;
+      EXPECT_EQ(r.rounds, ref.result.rounds) << method << "/" << name;
+    }
+    const auto profile = profile_bfs("caslt", c.graph, c.source, {.threads = 1});
+    ASSERT_TRUE(profile.has_value());
+    EXPECT_EQ(profile->attempts, ref.acquires) << name;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Profiles: what the counters of each reset and slot scheme must show.
+
+TEST(BfsProfile, SparseResetSweepsFewerTagsThanTheFullSweep) {
+  // A path discovers one vertex per level, so the full sweep re-zeroes all
+  // 200 tags on each of its 200 levels while the sparse reset re-zeroes
+  // only the tags of last level's discoveries.
+  const auto g = graph::build_csr(200, graph::path(200));
+  const auto full = profile_bfs("gatekeeper", g, 0, {.threads = 4});
+  const auto sparse = profile_bfs("gatekeeper-sparse", g, 0, {.threads = 4});
+  ASSERT_TRUE(full.has_value());
+  ASSERT_TRUE(sparse.has_value());
+  EXPECT_EQ(full->reset_tags, 200u * 200u);
+  EXPECT_EQ(sparse->reset_tags, 199u);  // every discovery, reset once
+  EXPECT_EQ(sparse->wins, full->wins);
+}
+
+TEST(BfsProfile, FrontierSlotAtomicsAgainstGrants) {
+  // At one thread the CAS-LT site counts exactly one attempt, atomic and
+  // win per discovered vertex; what the profile holds beyond that is the
+  // "frontier-slots" site, which grants one slot per discovery.
+  const GraphCase c = make_case("gnm2k");
+  const auto levels = graph::bfs_levels(c.graph, c.source);
+  std::uint64_t discovered = 0;
+  for (const auto l : levels) discovered += l > 0 ? 1 : 0;
+  ASSERT_GT(discovered, 100u);
+
+  const auto shared = profile_bfs("frontier-shared", c.graph, c.source, {.threads = 1});
+  const auto chunked = profile_bfs("frontier", c.graph, c.source, {.threads = 1});
+  ASSERT_TRUE(shared.has_value());
+  ASSERT_TRUE(chunked.has_value());
+
+  // Shared tail: one fetch_add per granted slot.
+  EXPECT_EQ(shared->attempts - discovered, discovered);
+  EXPECT_EQ(shared->atomics - discovered, discovered);
+  EXPECT_EQ(shared->refills, 0u);
+  // Chunked grants: one shared fetch_add per chunk, so fewer atomics than
+  // grants.
+  EXPECT_EQ(chunked->attempts - discovered, discovered);
+  EXPECT_EQ(chunked->atomics - discovered, chunked->refills);
+  EXPECT_LT(chunked->atomics - discovered, discovered);
 }
 
 }  // namespace

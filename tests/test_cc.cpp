@@ -331,6 +331,23 @@ TEST(Cc, DispatchRejectsNaive) {
   // §7.2: no naive CC exists — racing multi-array hooks are unsafe.
   const auto g = graph::build_csr(2, graph::path(2));
   EXPECT_THROW((void)run_cc("naive", g), std::invalid_argument);
+  EXPECT_THROW((void)profile_cc("naive", g), std::invalid_argument);
+}
+
+TEST(CcProfile, SparseResetSweepsFewerTagsThanTheFullSweep) {
+  // The full sweep re-zeroes all n tags before every hooking substep; the
+  // sparse reset re-zeroes only the roots the previous substep hooked, and
+  // a root is hooked at most once in its lifetime.
+  constexpr std::uint64_t kN = 2000;
+  const auto g = graph::random_graph(kN, 3 * kN, 3);
+  const auto full = profile_cc("gatekeeper", g, {.threads = 4});
+  const auto sparse = profile_cc("gatekeeper-sparse", g, {.threads = 4});
+  ASSERT_TRUE(full.has_value());
+  ASSERT_TRUE(sparse.has_value());
+  EXPECT_EQ(full->reset_tags, full->rounds * kN);
+  EXPECT_LT(sparse->reset_tags, full->reset_tags);
+  EXPECT_LE(sparse->reset_tags, sparse->wins);
+  EXPECT_LE(sparse->wins, kN - 1);
 }
 
 }  // namespace

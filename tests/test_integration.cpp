@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "algorithms/bfs.hpp"
@@ -146,6 +148,73 @@ TEST(Integration, DispatchCoversEveryAdvertisedMethod) {
   for (const auto& mth : algo::cc_methods()) {
     EXPECT_TRUE(graph::validate_components(g, algo::run_cc(mth, g).label)) << mth;
   }
+}
+
+/// Every name run_max/run_bfs/run_cc accepts, with whether its policy has
+/// counting tags: profile_* must count exactly those and answer nullopt
+/// for the rest (naive has no tag, critical a mutex, the structural rows
+/// other than the frontier pair no arbiter of their own).
+using Instrumentable = std::vector<std::pair<std::string, bool>>;
+const Instrumentable kMaxNames = {{"naive", false}, {"gatekeeper", true},
+                                  {"gatekeeper-skip", true}, {"caslt", true},
+                                  {"critical", false}, {"reduce", false}};
+const Instrumentable kBfsNames = {{"naive", false},
+                                  {"gatekeeper", true},
+                                  {"gatekeeper-sparse", true},
+                                  {"gatekeeper-skip", true},
+                                  {"caslt", true},
+                                  {"critical", false},
+                                  {"frontier", true},
+                                  {"frontier-shared", true},
+                                  {"direction-optimizing", false}};
+const Instrumentable kCcNames = {{"gatekeeper", true}, {"gatekeeper-sparse", true},
+                                 {"gatekeeper-skip", true}, {"caslt", true},
+                                 {"critical", false}, {"min-hook", false}};
+
+bool lists(const Instrumentable& names, const std::string& method) {
+  return std::any_of(names.begin(), names.end(),
+                     [&](const auto& entry) { return entry.first == method; });
+}
+
+TEST(Integration, ProfilesCountExactlyTheInstrumentablePolicies) {
+  const auto g = graph::random_graph(60, 150, 2);
+  std::vector<std::uint32_t> list(100);
+  util::Xoshiro256 rng(1);
+  for (auto& x : list) x = static_cast<std::uint32_t>(rng.bounded(500));
+
+  for (const auto& [mth, counted] : kMaxNames) {
+    EXPECT_EQ(algo::run_max(mth, list), algo::max_index_seq(list)) << mth;
+    const auto p = algo::profile_max(mth, list);
+    ASSERT_EQ(p.has_value(), counted) << mth;
+    if (p) {
+      EXPECT_GT(p->attempts, 0u) << mth;
+    }
+  }
+  for (const auto& [mth, counted] : kBfsNames) {
+    EXPECT_EQ(algo::run_bfs(mth, g, 0).level, graph::bfs_levels(g, 0)) << mth;
+    const auto p = algo::profile_bfs(mth, g, 0);
+    ASSERT_EQ(p.has_value(), counted) << mth;
+    if (p) {
+      EXPECT_GT(p->attempts, 0u) << mth;
+    }
+  }
+  for (const auto& [mth, counted] : kCcNames) {
+    EXPECT_TRUE(graph::validate_components(g, algo::run_cc(mth, g).label)) << mth;
+    const auto p = algo::profile_cc(mth, g);
+    ASSERT_EQ(p.has_value(), counted) << mth;
+    if (p) {
+      EXPECT_GT(p->attempts, 0u) << mth;
+    }
+  }
+
+  // The lists above cover every advertised method, and a name run_*
+  // rejects is rejected by profile_* too.
+  for (const auto& mth : algo::max_methods()) EXPECT_TRUE(lists(kMaxNames, mth)) << mth;
+  for (const auto& mth : algo::bfs_methods()) EXPECT_TRUE(lists(kBfsNames, mth)) << mth;
+  for (const auto& mth : algo::cc_methods()) EXPECT_TRUE(lists(kCcNames, mth)) << mth;
+  EXPECT_THROW((void)algo::profile_max("bogus", list), std::invalid_argument);
+  EXPECT_THROW((void)algo::profile_bfs("bogus", g, 0), std::invalid_argument);
+  EXPECT_THROW((void)algo::profile_cc("bogus", g), std::invalid_argument);
 }
 
 }  // namespace

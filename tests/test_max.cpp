@@ -111,8 +111,8 @@ TEST(MaxMethods, LargerListStaysCorrect) {
   const auto xs = random_list(2000, 13, 1u << 30);
   const auto expected = max_index_seq(xs);
   EXPECT_EQ(max_index_caslt(xs), expected);
-  EXPECT_EQ(max_index_gatekeeper_skip(xs), expected);
-  EXPECT_EQ(max_index_naive(xs), expected);
+  EXPECT_EQ(run_max("gatekeeper-skip", xs), expected);
+  EXPECT_EQ(run_max("naive", xs), expected);
 }
 
 }  // namespace
