@@ -341,20 +341,14 @@ void storm_maxload_caslt(benchmark::State& state) {
   rec.profile([&] { return crcw::algo::profile_dedup("caslt", keys, opts); });
 }
 
-// Backoff axis of the storm: the chained set's head-CAS retry loop with the
-// adaptive ceiling (HashConfig::adaptive_backoff) A/B'd against the fixed
-// default. The table is deliberately undersized (~64 keys per chain head)
-// so concurrent pushes really fight over hot heads, and the keys go in as
-// round-sized slices with flush_round between them — the cadence at which
-// AdaptiveBackoffCeiling re-samples the ContentionSite failure rate. The
-// `backoff_ceiling` counter shows where the ceiling landed after the storm.
-std::uint64_t insert_chained_backoff(const std::vector<std::uint64_t>& keys,
-                                     int threads, bool adaptive,
-                                     std::uint32_t* ceiling_out = nullptr) {
+// Backoff axis of the storm: the chained set's head-CAS retry loop under
+// the fixed util::Backoff bound. The table is deliberately undersized (~64
+// keys per chain head) so concurrent pushes really fight over hot heads,
+// and the keys go in as round-sized slices with flush_round between them.
+std::uint64_t insert_chained_backoff(const std::vector<std::uint64_t>& keys, int threads) {
   crcw::ds::HashConfig cfg;
   cfg.telemetry = true;
   cfg.site_name = "ext-hash-backoff";
-  cfg.adaptive_backoff = adaptive;
   crcw::ds::ChainedHashSet<> set(keys.size() / 64 + 1, threads, cfg);
   constexpr std::uint64_t kSlices = 8;
   const std::uint64_t per = keys.size() / kSlices;
@@ -372,43 +366,34 @@ std::uint64_t insert_chained_backoff(const std::vector<std::uint64_t>& keys,
     }
     set.flush_round();
   }
-  if (ceiling_out != nullptr) *ceiling_out = set.backoff_ceiling();
   return set.size();
 }
 
-void bench_storm_backoff(benchmark::State& state, const char* method, bool adaptive) {
+void storm_backoff_fixed(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   const auto& keys = cached_keys(kThreadSweepKeys);
-  crcw::obs::MetricsRegistry local;  // keeps the A/B site out of global totals
+  crcw::obs::MetricsRegistry local;  // keeps the storm's site out of global totals
   const crcw::obs::ScopedRegistry scoped(local);
-  RowRecorder rec(state, {.series = std::string("ext_hash/storm-backoff/") + method,
-                          .policy = method,
-                          .baseline = adaptive ? "fixed" : "",
+  RowRecorder rec(state, {.series = "ext_hash/storm-backoff/fixed",
+                          .policy = "fixed",
+                          .baseline = "",
                           .threads = threads,
                           .n = kThreadSweepKeys,
                           .m = 0});
   std::uint64_t distinct = 0;
-  std::uint32_t ceiling = 1024;  // fixed rows pin the Backoff default
   for (auto _ : state) {
     crcw::util::Timer timer;
-    distinct = insert_chained_backoff(keys, threads, adaptive,
-                                      adaptive ? &ceiling : nullptr);
+    distinct = insert_chained_backoff(keys, threads);
     rec.record(timer.seconds());
   }
   state.counters["distinct"] = static_cast<double>(distinct);
-  state.counters["backoff_ceiling"] = static_cast<double>(ceiling);
   rec.profile([&] {
     crcw::obs::MetricsRegistry prof;
     const crcw::obs::ScopedRegistry prof_scope(prof);
-    (void)insert_chained_backoff(keys, threads, adaptive);
+    (void)insert_chained_backoff(keys, threads);
     return std::optional(prof.totals());
   });
 }
-
-void storm_backoff_adaptive(benchmark::State& s) {
-  bench_storm_backoff(s, "adaptive", true);
-}
-void storm_backoff_fixed(benchmark::State& s) { bench_storm_backoff(s, "fixed", false); }
 
 void storm_sort(benchmark::State& state) {
   const auto n = static_cast<std::uint64_t>(state.range(0));
@@ -462,7 +447,6 @@ void maxload_args(benchmark::internal::Benchmark* b) {
 BENCHMARK(storm_caslt)->Apply(size_args);
 BENCHMARK(storm_mutex)->Apply(size_args);
 BENCHMARK(storm_maxload_caslt)->Apply(maxload_args);
-BENCHMARK(storm_backoff_adaptive)->Apply(thread_args);
 BENCHMARK(storm_backoff_fixed)->Apply(thread_args);
 BENCHMARK(storm_sort)->Apply(size_args);
 

@@ -6,10 +6,12 @@
 // frontier-shaped rounds (W writes, W << N) the touched-list sparse reset
 // does O(W) work instead. Each iteration runs kRoundsPerIter rounds of an
 // UNTIMED touch phase (W distinct strided winners — the exact dirty-tag
-// set) followed by a TIMED reset, so the row measures the reset alone:
+// set) followed by a TIMED next_round(), whose re-arm is all it does, so
+// the row measures the re-arm alone. The two rows differ only in how their
+// arbiter was built:
 //
-//   micro_reset/full    reset_tags_parallel — paper-faithful Θ(N) sweep
-//   micro_reset/sparse  reset_tags_sparse   — touched lists, O(W)
+//   micro_reset/full    Rearm::kSweep  — paper-faithful Θ(N) sweep
+//   micro_reset/sparse  Rearm::kSparse — touched lists, O(W)
 //
 // The profile pass pins the asymptotics to a counter: reset_tags is
 // rounds·N for full vs rounds·W for sparse (see docs/reproducing.md).
@@ -27,8 +29,8 @@ namespace {
 
 using crcw::ArbiterConfig;
 using crcw::GatekeeperPolicy;
+using crcw::Rearm;
 using crcw::ResetMode;
-using crcw::TouchTracking;
 using crcw::WriteArbiter;
 
 using IGate = crcw::InstrumentedPolicy<GatekeeperPolicy>;
@@ -38,7 +40,8 @@ constexpr int kRoundsPerIter = 4;
 
 /// Untimed dirtying phase: W distinct winners evenly strided across the
 /// tag array. Every acquire wins (targets are distinct), so exactly W tags
-/// are dirty — and, when tracking is on, exactly W touched-list entries.
+/// are dirty — and, on a sparse arbiter, exactly W touched-list entries.
+/// kNone: the timed next_round() before it already re-armed the tags.
 template <typename Arbiter>
 void touch(Arbiter& arbiter, std::uint64_t writes, int threads) {
   auto scope = arbiter.next_round(ResetMode::kNone);
@@ -48,15 +51,6 @@ void touch(Arbiter& arbiter, std::uint64_t writes, int threads) {
   for (std::int64_t w = 0; w < w_count; ++w) {
     (void)scope.acquire(static_cast<std::size_t>(w) * stride);
   }
-}
-
-ArbiterConfig sparse_config(int threads) {
-  ArbiterConfig cfg;
-  cfg.tracking = TouchTracking::kEnabled;
-  cfg.lanes = threads;
-  cfg.first_touch = crcw::util::FirstTouch::kParallel;
-  cfg.first_touch_threads = threads;
-  return cfg;
 }
 
 crcw::bench::RowSpec spec(const char* variant, int threads, std::uint64_t writes) {
@@ -78,17 +72,20 @@ crcw::obs::ContentionTotals profiled(Fn&& fn) {
   return local.totals();
 }
 
-void bench_reset_full(benchmark::State& state) {
+/// Times the re-arm of `rearm`-built arbiters: each timed next_round()
+/// resets what the untimed touch before it dirtied.
+void bench_reset(benchmark::State& state, const char* variant, Rearm rearm) {
   const int threads = static_cast<int>(state.range(0));
   const auto writes = static_cast<std::uint64_t>(state.range(1));
-  crcw::bench::RowRecorder rec(state, spec("full", threads, writes));
-  WriteArbiter<GatekeeperPolicy> arbiter(kTags);  // paper baseline: no tracking
+  crcw::bench::RowRecorder rec(state, spec(variant, threads, writes));
+  const ArbiterConfig cfg{.rearm = rearm, .threads = threads};
+  WriteArbiter<GatekeeperPolicy> arbiter(kTags, cfg);
   for (auto _ : state) {
     double secs = 0.0;
     for (int r = 0; r < kRoundsPerIter; ++r) {
       touch(arbiter, writes, threads);
       crcw::util::Timer timer;
-      arbiter.reset_tags_parallel(threads);
+      (void)arbiter.next_round();
       secs += timer.seconds();
     }
     rec.record(secs);
@@ -96,42 +93,18 @@ void bench_reset_full(benchmark::State& state) {
   state.counters["rounds"] = kRoundsPerIter;
   rec.profile([&] {
     return profiled([&] {
-      WriteArbiter<IGate> instrumented(kTags);
+      WriteArbiter<IGate> instrumented(kTags, cfg);
       for (int r = 0; r < kRoundsPerIter; ++r) {
         touch(instrumented, writes, threads);
-        instrumented.flush_round_metrics();
-        instrumented.reset_tags_parallel(threads);  // reset_tags += kTags
+        (void)instrumented.next_round();  // reset_tags += kTags (full) or writes
       }
     });
   });
 }
 
+void bench_reset_full(benchmark::State& state) { bench_reset(state, "full", Rearm::kSweep); }
 void bench_reset_sparse(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  const auto writes = static_cast<std::uint64_t>(state.range(1));
-  crcw::bench::RowRecorder rec(state, spec("sparse", threads, writes));
-  WriteArbiter<GatekeeperPolicy> arbiter(kTags, sparse_config(threads));
-  for (auto _ : state) {
-    double secs = 0.0;
-    for (int r = 0; r < kRoundsPerIter; ++r) {
-      touch(arbiter, writes, threads);
-      crcw::util::Timer timer;
-      arbiter.reset_tags_sparse(threads);
-      secs += timer.seconds();
-    }
-    rec.record(secs);
-  }
-  state.counters["rounds"] = kRoundsPerIter;
-  rec.profile([&] {
-    return profiled([&] {
-      WriteArbiter<IGate> instrumented(kTags, sparse_config(threads));
-      for (int r = 0; r < kRoundsPerIter; ++r) {
-        touch(instrumented, writes, threads);
-        instrumented.flush_round_metrics();
-        instrumented.reset_tags_sparse(threads);  // reset_tags += writes
-      }
-    });
-  });
+  bench_reset(state, "sparse", Rearm::kSparse);
 }
 
 void reset_args(benchmark::internal::Benchmark* b) {

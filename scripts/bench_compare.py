@@ -8,6 +8,7 @@ This tool is the CI regression gate over those documents:
   bench_compare.py BASELINE_DIR CURRENT_DIR          # full gate
   bench_compare.py --validate-only CURRENT_DIR       # schema check alone
   bench_compare.py --counters-only BASELINE_DIR CURRENT_DIR
+  bench_compare.py --parent P1 .. PN --change C1 .. CN  # paired gate
 
 Gate semantics, per row matched on (bench, series, threads, n, m):
 
@@ -24,6 +25,20 @@ Gate semantics, per row matched on (bench, series, threads, n, m):
     policies are deterministic in theory, but cross-machine baselines
     may legitimately differ in sweep shape, so strictness is opt-in.
 
+Paired gate: one pass per side cannot tell a change from noise on a
+shared machine (one in-process median per row, and a row's time depends
+on what ran before it), so --parent/--change take N pass directories per
+side, run alternately (parent pass i next to change pass i). A row is
+flagged only when all three hold:
+
+  * the change is slower in at least 9 of every 10 pairs;
+  * the median of the change's pass medians exceeds the parent's by more
+    than --threshold;
+  * that excess is larger than the gap between the parent's own
+    quartiles across its passes.
+
+Counters are compared on the first pair, as in the single-pass gate.
+
 Exit codes: 0 = gate passed, 1 = validation failure or regression,
 2 = usage / IO error. No third-party dependencies (runs on a bare
 python3): the schema file is interpreted by the small validator below
@@ -34,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -219,6 +235,38 @@ def compare_timing(base_index, cur_index, threshold):
     return compared, regressions
 
 
+def compare_paired(parent_indexes, change_indexes, threshold):
+    """The paired timing gate over N alternating pass pairs (module doc)."""
+    pairs = len(parent_indexes)
+    regressions = 0
+    compared = 0
+    for key in sorted(parent_indexes[0]):
+        rows = [idx.get(key) for idx in parent_indexes + change_indexes]
+        if any(row is None for row in rows):
+            print(f"MISSING  {fmt_key(key)} (not in every pass)")
+            continue
+        parent = [row["median_ns"] for row in rows[:pairs]]
+        change = [row["median_ns"] for row in rows[pairs:]]
+        parent_med = statistics.median(parent)
+        if parent_med <= 0:
+            continue
+        compared += 1
+        change_med = statistics.median(change)
+        q1, _q2, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+        slower = sum(c > p for p, c in zip(parent, change))
+        excess = change_med - parent_med
+        delta = excess / parent_med * 100.0
+        detail = (f"{parent_med:.0f}ns -> {change_med:.0f}ns ({delta:+.1f}%), "
+                  f"slower in {slower}/{pairs} pairs, parent IQR {q3 - q1:.0f}ns")
+        if (slower * 10 >= pairs * 9 and excess > threshold * parent_med
+                and excess > q3 - q1):
+            regressions += 1
+            print(f"REGRESS  {fmt_key(key)}: {detail}")
+        else:
+            print(f"ok       {fmt_key(key)}: {detail}")
+    return compared, regressions
+
+
 def compare_counters(base_index, cur_index, tol, strict):
     mismatches = 0
     compared = 0
@@ -257,9 +305,14 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         description="Regression gate over BENCH_*.json benchmark results."
     )
-    parser.add_argument("dirs", nargs="+", type=Path,
+    parser.add_argument("dirs", nargs="*", type=Path,
                         help="BASELINE_DIR CURRENT_DIR (CURRENT_DIR alone "
                              "with --validate-only)")
+    parser.add_argument("--parent", nargs="+", type=Path, default=[],
+                        help="paired gate: the parent's pass directories")
+    parser.add_argument("--change", nargs="+", type=Path, default=[],
+                        help="paired gate: the change's pass directories, "
+                             "in the same order")
     parser.add_argument("--threshold", type=float, default=0.15,
                         help="relative median slowdown that fails the gate "
                              "(default 0.15)")
@@ -283,6 +336,9 @@ def main(argv=None):
             print(f"error: no BENCH_*.json in {args.dirs[0]}", file=sys.stderr)
             return 2
         return 1 if validate_docs(docs, schema) else 0
+
+    if args.parent or args.change:
+        return paired_main(parser, args, schema)
 
     if len(args.dirs) != 2:
         parser.error("expected BASELINE_DIR CURRENT_DIR")
@@ -312,6 +368,36 @@ def main(argv=None):
     failures += compare_counters(base_index, cur_index, args.counter_tol,
                                  args.counters_strict)
 
+    print("gate PASSED" if failures == 0 else f"gate FAILED ({failures} failures)")
+    return 1 if failures else 0
+
+
+def paired_main(parser, args, schema):
+    if args.dirs or args.validate_only or args.counters_only:
+        parser.error("--parent/--change take no positional directories")
+    if len(args.parent) != len(args.change) or len(args.parent) < 2:
+        parser.error("--parent and --change need the same number (>= 2) "
+                     "of pass directories")
+    failures = 0
+    indexes = []
+    for directory in args.parent + args.change:
+        docs = load_dir(directory)
+        if not docs:
+            print(f"error: no BENCH_*.json in {directory}", file=sys.stderr)
+            return 2
+        failures += validate_docs(docs, schema)
+        indexes.append(row_index(docs))
+    pairs = len(args.parent)
+    compared, regressions = compare_paired(indexes[:pairs], indexes[pairs:],
+                                           args.threshold)
+    if compared == 0:
+        print("error: no row present in every pass", file=sys.stderr)
+        return 2
+    failures += regressions
+    print(f"timing: {compared} rows compared over {pairs} pairs, "
+          f"{regressions} regressions (threshold {args.threshold * 100:.0f}%)")
+    failures += compare_counters(indexes[0], indexes[pairs], args.counter_tol,
+                                 args.counters_strict)
     print("gate PASSED" if failures == 0 else f"gate FAILED ({failures} failures)")
     return 1 if failures else 0
 

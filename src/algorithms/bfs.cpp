@@ -24,7 +24,6 @@ using graph::edge_t;
 using graph::kNoVertex;
 using graph::vertex_t;
 using methods::PolicyRow;
-using methods::Reset;
 
 constexpr edge_t kNoEdge = static_cast<edge_t>(-1);
 
@@ -101,7 +100,7 @@ void report_slot_counts(std::uint64_t grants, std::uint64_t shared_rmws,
 /// The level-scan kernel of Figure 3: every level scans all vertices, and
 /// vertices on the level relax their edges through Tree::discover.
 template <WritePolicy Policy>
-BfsResult bfs_kernel(const Csr& g, vertex_t source, const BfsOptions& opts, Reset reset) {
+BfsResult bfs_kernel(const Csr& g, vertex_t source, const BfsOptions& opts, Rearm rearm) {
   const std::uint64_t n = g.num_vertices();
   BfsResult result = make_result(n, source);
   const Tree tree(result);
@@ -110,20 +109,18 @@ BfsResult bfs_kernel(const Csr& g, vertex_t source, const BfsOptions& opts, Rese
   const auto targets = g.targets();
 
   const int threads = opts.threads > 0 ? opts.threads : omp_get_max_threads();
-  methods::ArbiterFor<Policy> arbiter(n, methods::round_config(reset, threads));
+  methods::ArbiterFor<Policy> arbiter(n, {.rearm = rearm, .threads = threads});
   const auto count = static_cast<std::int64_t>(n);
 
   std::int64_t l = 0;
   bool done = false;
   while (!done) {
     std::uint8_t frontier_empty = 1;
-    // Fig 3(b) lines 34-35: re-arm the gatekeeper tags — the Θ(N) sweep
-    // CAS-LT avoids, or the sparse reset of last level's touched tags (a
-    // no-op for policies without per-round reset).
-    methods::rearm(arbiter, reset, threads);
     // Round id L+1 (Fig 3(a) line 22): monotone across levels, so CAS-LT
-    // tags never need re-initialisation.
-    auto scope = arbiter.next_round(ResetMode::kCaller);
+    // tags never need re-initialisation. Gatekeeper tags are re-armed here
+    // first, on the kernel's team (Fig 3(b) lines 34-35): the Θ(N) sweep
+    // CAS-LT avoids, or the sparse re-arm of last level's wins.
+    auto scope = arbiter.next_round();
 
 #pragma omp parallel for num_threads(threads) schedule(static) firstprivate(tree) \
     reduction(&& : frontier_empty)
@@ -179,7 +176,7 @@ BfsResult bfs_frontier_kernel(const Csr& g, vertex_t source, const BfsOptions& o
   std::int64_t l = 0;
 
   while (fsize > 0) {
-    auto scope = arbiter.next_round(ResetMode::kNone);
+    auto scope = arbiter.next_round();
     const auto fcount = static_cast<std::int64_t>(fsize);
     auto* next_data = next.data();
 
@@ -241,7 +238,7 @@ constexpr auto kBfsMethods = std::to_array<methods::Entry<BfsRow>>({
     // Figures 7–9: the level-scan kernel under each write policy.
     {"naive", PolicyRow<NaivePolicy>{}},
     {"gatekeeper", PolicyRow<GatekeeperPolicy>{}},
-    {"gatekeeper-sparse", PolicyRow<GatekeeperPolicy>{Reset::kSparse}},
+    {"gatekeeper-sparse", PolicyRow<GatekeeperPolicy>{Rearm::kSparse}},
     {"gatekeeper-skip", PolicyRow<GatekeeperSkipPolicy>{}},
     {"caslt", PolicyRow<CasLtPolicy>{}},
     {"critical", PolicyRow<CriticalPolicy>{}},
@@ -254,7 +251,7 @@ constexpr auto kBfsMethods = std::to_array<methods::Entry<BfsRow>>({
 }  // namespace
 
 BfsResult bfs_caslt(const Csr& g, vertex_t source, const BfsOptions& opts) {
-  return bfs_kernel<CasLtPolicy>(g, source, opts, Reset::kSweep);
+  return bfs_kernel<CasLtPolicy>(g, source, opts, Rearm::kSweep);
 }
 
 BfsResult bfs_frontier(const Csr& g, vertex_t source, const BfsOptions& opts) {
@@ -286,7 +283,7 @@ BfsResult bfs_direction_optimizing(const Csr& g, vertex_t source, const BfsOptio
   std::int64_t l = 0;
   bool done = false;
   while (!done) {
-    auto scope = arbiter.next_round(ResetMode::kNone);
+    auto scope = arbiter.next_round();
     std::uint8_t frontier_empty = 1;
     std::uint64_t next_edges = 0;
 
@@ -346,7 +343,7 @@ BfsResult run_bfs(std::string_view method, const Csr& g, vertex_t source,
   return std::visit(
       methods::Overloaded{
           [&]<WritePolicy P>(PolicyRow<P> row) {
-            return bfs_kernel<P>(g, source, opts, row.reset);
+            return bfs_kernel<P>(g, source, opts, row.rearm);
           },
           [&](Frontier row) {
             return bfs_frontier_kernel<CasLtPolicy>(g, source, opts, row.slots);
@@ -363,7 +360,7 @@ std::optional<obs::ContentionTotals> profile_bfs(std::string_view method, const 
           [&]<WritePolicy P>(PolicyRow<P> row) -> Profile {
             if constexpr (methods::Instrumentable<P>) {
               return methods::profiled([&] {
-                (void)bfs_kernel<InstrumentedPolicy<P>>(g, source, opts, row.reset);
+                (void)bfs_kernel<InstrumentedPolicy<P>>(g, source, opts, row.rearm);
               });
             } else {
               return std::nullopt;

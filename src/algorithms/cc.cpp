@@ -22,7 +22,6 @@ using graph::Csr;
 using graph::edge_t;
 using graph::vertex_t;
 using methods::PolicyRow;
-using methods::Reset;
 
 constexpr edge_t kNoEdge = static_cast<edge_t>(-1);
 
@@ -110,7 +109,7 @@ std::uint64_t count_roots(const std::vector<vertex_t>& parent, int threads) {
 
 /// The Awerbuch–Shiloach kernel of Figures 10–12 over a write policy.
 template <WritePolicy Policy>
-CcResult cc_kernel(const Csr& g, const CcOptions& opts, Reset reset) {
+CcResult cc_kernel(const Csr& g, const CcOptions& opts, Rearm rearm) {
   const std::uint64_t n = g.num_vertices();
   const int threads = opts.threads > 0 ? opts.threads : omp_get_max_threads();
   const auto vcount = static_cast<std::int64_t>(n);
@@ -123,7 +122,7 @@ CcResult cc_kernel(const Csr& g, const CcOptions& opts, Reset reset) {
   std::vector<vertex_t> snapshot(n);             // pre-substep P (PRAM read set)
   std::vector<std::uint8_t> star(n);
   std::vector<edge_t> hook_edge(n, kNoEdge);  // 2nd member of the multi-array hook
-  WriteArbiter<Policy> arbiter(n, methods::round_config(reset, threads));
+  WriteArbiter<Policy> arbiter(n, {.rearm = rearm, .threads = threads});
 
 #pragma omp parallel for num_threads(threads) schedule(static)
   for (std::int64_t v = 0; v < vcount; ++v) {
@@ -145,11 +144,10 @@ CcResult cc_kernel(const Csr& g, const CcOptions& opts, Reset reset) {
   const std::span<const vertex_t> targets = g.targets();
   const auto hook_round = [&](auto hooks) {
     take_snapshot();
-    // The gatekeeper re-initialisation sweep, once per hooking substep —
-    // the recurring Θ(N) cost CAS-LT does not pay (§6); sparse mode sweeps
-    // only the tags last substep's winning hooks touched.
-    methods::rearm(arbiter, reset, threads);
-    auto scope = arbiter.next_round(ResetMode::kCaller);
+    // next_round() re-arms the gatekeeper tags once per hooking substep,
+    // on the kernel's team — the recurring Θ(N) cost CAS-LT does not pay
+    // (§6); the sparse re-arm resets only last substep's winning hooks.
+    auto scope = arbiter.next_round();
     return walk_rows(g, threads, [&](vertex_t u, edge_t first, edge_t last) {
       if (star[u] == 0) return false;
       const vertex_t pu = snapshot[u];
@@ -247,7 +245,7 @@ using CcRow = std::variant<PolicyRow<GatekeeperPolicy>, PolicyRow<GatekeeperSkip
 /// A-S kernel under each write policy (no naive row — see cc.hpp).
 constexpr auto kCcMethods = std::to_array<methods::Entry<CcRow>>({
     {"gatekeeper", PolicyRow<GatekeeperPolicy>{}},
-    {"gatekeeper-sparse", PolicyRow<GatekeeperPolicy>{Reset::kSparse}},
+    {"gatekeeper-sparse", PolicyRow<GatekeeperPolicy>{Rearm::kSparse}},
     {"gatekeeper-skip", PolicyRow<GatekeeperSkipPolicy>{}},
     {"caslt", PolicyRow<CasLtPolicy>{}},
     {"critical", PolicyRow<CriticalPolicy>{}},
@@ -257,7 +255,7 @@ constexpr auto kCcMethods = std::to_array<methods::Entry<CcRow>>({
 }  // namespace
 
 CcResult cc_caslt(const Csr& g, const CcOptions& opts) {
-  return cc_kernel<CasLtPolicy>(g, opts, Reset::kSweep);
+  return cc_kernel<CasLtPolicy>(g, opts, Rearm::kSweep);
 }
 
 CcResult cc_min_hook(const Csr& g, const CcOptions& opts) {
@@ -344,7 +342,7 @@ CcResult cc_min_hook(const Csr& g, const CcOptions& opts) {
 CcResult run_cc(std::string_view method, const Csr& g, const CcOptions& opts) {
   return std::visit(
       methods::Overloaded{
-          [&]<WritePolicy P>(PolicyRow<P> row) { return cc_kernel<P>(g, opts, row.reset); },
+          [&]<WritePolicy P>(PolicyRow<P> row) { return cc_kernel<P>(g, opts, row.rearm); },
           [&](MinHook) { return cc_min_hook(g, opts); }},
       methods::find(kCcMethods, "cc", method));
 }
@@ -356,7 +354,7 @@ std::optional<obs::ContentionTotals> profile_cc(std::string_view method, const C
       methods::Overloaded{[&]<WritePolicy P>(PolicyRow<P> row) -> Profile {
                             if constexpr (methods::Instrumentable<P>) {
                               return methods::profiled([&] {
-                                (void)cc_kernel<InstrumentedPolicy<P>>(g, opts, row.reset);
+                                (void)cc_kernel<InstrumentedPolicy<P>>(g, opts, row.rearm);
                               });
                             } else {
                               return std::nullopt;

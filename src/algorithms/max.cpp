@@ -79,7 +79,7 @@ using MaxRow = std::variant<PolicyRow<NaivePolicy>, PolicyRow<GatekeeperPolicy>,
 
 /// The method table behind run_max and profile_max: Figures 5–6 run the
 /// Figure 4 kernel under each write policy. Max is one round, so every
-/// policy row keeps the default reset (the arbiter's own sweep, a no-op on
+/// policy row keeps the default re-arm (the arbiter's serial sweep of its
 /// fresh tags).
 constexpr auto kMaxMethods = std::to_array<methods::Entry<MaxRow>>({
     {"naive", PolicyRow<NaivePolicy>{}},
@@ -153,7 +153,7 @@ std::uint64_t max_index_doubly_log(std::span<const std::uint32_t> list,
     const std::uint64_t m = candidates.size();
     const std::uint64_t g = std::min<std::uint64_t>(group, m);
     const std::uint64_t groups = (m + g - 1) / g;
-    auto scope = arbiter.next_round(ResetMode::kNone);  // CAS-LT: no sweep
+    auto scope = arbiter.next_round();  // CAS-LT: no sweep
 
     // One CW round: every in-group pair marks its loser. Work per round is
     // #groups * g^2 = O(m * g) = O(n) by the group-size schedule.

@@ -7,10 +7,14 @@
 // a structural variant with its own loop. run_X runs a PolicyRow with P
 // and profile_X runs the same kernel with InstrumentedPolicy<P>, so a name
 // can never time one kernel and count another.
+//
+// A PolicyRow also names how a gatekeeper-family kernel re-arms its tags
+// (Rearm::kSweep or kSparse). The kernel only passes that, with its thread
+// count, to the arbiter it builds; the arbiter's next_round() does the
+// re-arm, on that team, before each round (core/arbiter.hpp).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -19,20 +23,14 @@
 #include "core/arbiter.hpp"
 #include "core/instrumented.hpp"
 #include "obs/metrics.hpp"
-#include "util/aligned_buffer.hpp"
 
 namespace crcw::algo::methods {
 
-/// How a gatekeeper-family kernel re-arms its tags before each round: the
-/// paper's Θ(N) sweep (Fig 3(b) lines 34-35), or only the tags the previous
-/// round's winners touched — O(#writes), the §6 cost term the
-/// "gatekeeper-sparse" rows measure. Reset-free policies ignore it.
-enum class Reset : std::uint8_t { kSweep, kSparse };
-
 /// A table row that runs the kernel template under write policy P.
+/// Reset-free policies ignore `rearm`.
 template <WritePolicy P>
 struct PolicyRow {
-  Reset reset = Reset::kSweep;
+  Rearm rearm = Rearm::kSweep;
 };
 
 /// Policies with a counting tag (core/instrumented.hpp). profile_X answers
@@ -50,37 +48,12 @@ struct NoTags {
     static constexpr bool acquire(std::size_t /*target*/) noexcept { return true; }
   };
   explicit NoTags(std::size_t /*targets*/, const ArbiterConfig& /*cfg*/ = {}) noexcept {}
-  static Scope next_round(ResetMode /*mode*/ = ResetMode::kPolicy) noexcept { return {}; }
-  static void reset_tags_parallel(int /*threads*/) noexcept {}
-  static void reset_tags_sparse(int /*threads*/) noexcept {}
+  static Scope next_round() noexcept { return {}; }
 };
 
 /// The tag array a policy kernel arbitrates through.
 template <WritePolicy P>
 using ArbiterFor = std::conditional_t<kSingleWinner<P>, WriteArbiter<P>, NoTags>;
-
-/// Arbiter layout for the multi-round kernels: touched lists only under the
-/// sparse reset, and tag pages first touched by the team that sweeps and
-/// acquires them.
-inline ArbiterConfig round_config(Reset reset, int threads) {
-  ArbiterConfig cfg;
-  cfg.tracking = reset == Reset::kSparse ? TouchTracking::kEnabled : TouchTracking::kDisabled;
-  cfg.lanes = threads;
-  cfg.first_touch = util::FirstTouch::kParallel;
-  cfg.first_touch_threads = threads;
-  return cfg;
-}
-
-/// Re-arms the tags for the next round (no-op for reset-free policies);
-/// pair with next_round(ResetMode::kCaller).
-template <typename Arbiter>
-void rearm(Arbiter& arbiter, Reset reset, int threads) {
-  if (reset == Reset::kSparse) {
-    arbiter.reset_tags_sparse(threads);
-  } else {
-    arbiter.reset_tags_parallel(threads);
-  }
-}
 
 /// One table entry: a method name and what it runs.
 template <typename Row>

@@ -46,7 +46,7 @@ PermutationResult random_permutation(std::uint64_t n, const PermutationOptions& 
     if (++result.rounds > max_rounds) {
       throw std::runtime_error("random_permutation: exceeded round bound");
     }
-    auto scope = arbiter.next_round(ResetMode::kNone);  // CAS-LT: no sweep
+    auto scope = arbiter.next_round();  // CAS-LT: no sweep
     const auto pcount = static_cast<std::int64_t>(pcount_u);
     auto* still_data = still_pending.data();
 

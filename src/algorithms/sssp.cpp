@@ -76,7 +76,7 @@ SsspResult sssp_two_phase(std::uint64_t n, std::span<const WeightedEdge> edges,
     // multi-word (dist, parent) update. Equal-key ties are arbitrated by a
     // CAS-LT tag so exactly one writer touches the pair — priority CW
     // selects the value, arbitrary CW selects the writer.
-    auto tie_scope = ties.next_round(ResetMode::kNone);
+    auto tie_scope = ties.next_round();
     const auto commit = [&](vertex_t u, vertex_t v, std::uint32_t w,
                             std::uint8_t& any_flag) {
       const std::uint64_t du = snapshot[u];
@@ -151,7 +151,7 @@ SsspResult sssp_fetch_min(std::uint64_t n, std::span<const WeightedEdge> edges,
   // Parent recovery: any tight incident edge is a valid parent — an
   // arbitrary CW per vertex, guarded so the write happens exactly once.
   WriteArbiter<CasLtPolicy> arbiter(n);
-  auto scope = arbiter.next_round(ResetMode::kNone);
+  auto scope = arbiter.next_round();
   auto* parent = result.parent.data();
   const auto adopt = [&](vertex_t u, vertex_t v, std::uint32_t w) {
     if (v == source) return;

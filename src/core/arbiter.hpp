@@ -2,9 +2,10 @@
 //
 // PRAM kernels perform concurrent writes into whole arrays (Parent[],
 // Level[], isMax[], …). A WriteArbiter owns the parallel array of tags and
-// the round counter, and — for policies that require it — performs the
-// per-round re-initialisation sweep whose cost the paper charges to the
-// gatekeeper scheme (§6: depth O(1), work O(N) per round).
+// the round counter, and it alone re-arms the tags at the round boundary:
+// the per-round re-initialisation the paper charges to the gatekeeper
+// scheme (§6: depth O(1), work O(N) per round; Fig 3(b) lines 34-35) and
+// that CAS-LT tags never need.
 //
 // Round lifecycle (the only supported way to advance rounds):
 //
@@ -14,13 +15,22 @@
 //     for (...) if (scope.acquire(target)) ...;   // concurrent writes
 //   }                                             // scope end flushes metrics
 //
-// next_round takes a ResetMode describing who runs the gatekeeper sweep.
-// Explicit-round kernels (the serve tables) pair next_round(kNone) with
-// acquire_at(i, round) instead of the scope's acquire.
+// Who re-arms, when, and on which threads: next_round(), called serially
+// between parallel regions, re-arms before it opens the round, the way the
+// arbiter was built (ArbiterConfig). Rearm::kSweep resets every tag and
+// Rearm::kSparse only the tags the previous round's winners took. With
+// ArbiterConfig::threads > 1 the re-arm is work-shared across an OpenMP
+// team of that size — its own parallel region before the round's; with
+// one thread it is a plain loop on the calling thread and no OpenMP region
+// runs, which is what raw-std::thread callers (the TSan stress tier) need.
+// Explicit-round kernels (the serve tables) take the round id from
+// next_round() and acquire through acquire_at(i, round) instead of the
+// scope's acquire.
 #pragma once
 
 #include <omp.h>
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -40,38 +50,40 @@ namespace crcw {
 /// padded (one tag per cache line; ablation A1 measures the difference).
 enum class TagLayout { kPacked, kPadded };
 
-/// Who runs the per-round tag re-initialisation when the policy needs one
-/// (Policy::kNeedsRoundReset):
+/// Whether next_round() re-arms the tags of a policy that needs it
+/// (Policy::kNeedsRoundReset); a no-op either way for the others.
 enum class ResetMode {
-  kPolicy,        ///< the arbiter sweeps serially before the round begins
-  kCaller,        ///< the caller sweeps (e.g. reset_tags_parallel work-shared
-                  ///< across the OpenMP team, as Fig 3(b) lines 34-35 do)
-  kNone,          ///< no sweep: tags are known-fresh or the policy never resets
-  kPolicySparse,  ///< the arbiter serially resets only the tags the touched
-                  ///< lists recorded — O(#writes-last-round), not Θ(N).
-                  ///< Requires TouchTracking::kEnabled (falls back to the
-                  ///< full serial sweep otherwise). No OpenMP involved, so
-                  ///< the raw-thread stress tier may use it.
+  kPolicy,  ///< re-arm the way the arbiter was built (ArbiterConfig)
+  kNone,    ///< skip it: the caller vouches that the tags are fresh
 };
 
-/// Whether the arbiter records every winning acquire into a per-lane
-/// touched list, enabling the sparse reset paths. Off by default: the
-/// paper-faithful Θ(N) sweep stays the baseline, and CAS-LT never needs
-/// either (tracking is a no-op for policies without kNeedsRoundReset).
-enum class TouchTracking { kDisabled, kEnabled };
+/// How a gatekeeper-family arbiter re-arms its tags before each round.
+enum class Rearm : std::uint8_t {
+  kSweep,   ///< every tag: the paper's Θ(N) sweep (Fig 3(b) lines 34-35)
+  kSparse,  ///< only the tags last round's winners took, recorded in
+            ///< per-lane touched lists: O(#writes), not Θ(N)
+};
 
-/// Construction-time knobs for WriteArbiter (all default to the
-/// paper-faithful behaviour).
+/// Construction-time knobs for WriteArbiter (the defaults are the
+/// paper-faithful serial sweep).
 struct ArbiterConfig {
-  TouchTracking tracking = TouchTracking::kDisabled;
-  /// Touched-list lanes; the hard contract is at most one thread per lane
-  /// at a time, so this must be >= the largest team that will acquire.
-  /// 0 = omp_get_max_threads().
+  Rearm rearm = Rearm::kSweep;
+  /// Threads that re-arm the tags and first-touch their pages: > 1 =
+  /// work-shared across an OpenMP team of this size under the static
+  /// schedule the kernels' own sweeps use; <= 1 = plain loops on the
+  /// calling thread, no OpenMP region.
+  int threads = 1;
+  /// Touched-list lanes (Rearm::kSparse). The hard contract is at most one
+  /// acquiring thread per lane at a time. 0 = max(threads,
+  /// omp_get_max_threads()), enough for an OpenMP team acquiring with its
+  /// thread numbers; raw-thread callers set it and pass explicit lanes.
   int lanes = 0;
-  /// Page placement of the tag array (util::FirstTouch::kParallel faults
-  /// pages in under the same static schedule the reset sweep uses).
-  util::FirstTouch first_touch = util::FirstTouch::kSerial;
-  int first_touch_threads = 0;  ///< 0 = OpenMP default
+
+  /// Page placement that matches the re-arm: the team that sweeps the
+  /// tags faults their pages in.
+  [[nodiscard]] util::FirstTouch first_touch() const noexcept {
+    return threads > 1 ? util::FirstTouch::kParallel : util::FirstTouch::kSerial;
+  }
 };
 
 /// Marker detection: an instrumented policy exposes kInstrumented plus a
@@ -108,11 +120,8 @@ class WriteArbiter {
     [[nodiscard]] round_t round() const noexcept { return round_; }
 
     /// True iff the calling thread won this round's write to target i.
-    bool acquire(std::size_t i) { return arbiter_.acquire_at(i, round_); }
-
-    /// Same, with an explicit touched-list lane (raw-thread callers; OpenMP
-    /// callers can rely on the omp_get_thread_num() default above).
-    bool acquire(std::size_t i, int lane) { return arbiter_.acquire_at(i, round_, lane); }
+    /// `lane` as in acquire_at.
+    bool acquire(std::size_t i, int lane = -1) { return arbiter_.acquire_at(i, round_, lane); }
 
    private:
     friend class WriteArbiter;
@@ -122,36 +131,28 @@ class WriteArbiter {
     round_t round_;
   };
 
-  WriteArbiter() { init_site(); }
-
-  explicit WriteArbiter(std::size_t targets) : tags_(targets) { init_site(); }
-
-  WriteArbiter(std::size_t targets, const ArbiterConfig& cfg)
-      : tags_(targets, cfg.first_touch, cfg.first_touch_threads),
+  explicit WriteArbiter(std::size_t targets = 0, const ArbiterConfig& cfg = {})
+      : tags_(targets, cfg.first_touch(), cfg.threads),
         touch_lanes_(touch_lane_count(cfg)),
-        tracking_(Policy::kNeedsRoundReset && cfg.tracking == TouchTracking::kEnabled) {
-    init_site();
+        threads_(cfg.threads) {
+    if constexpr (kInstrumentedPolicy) {
+      site_ = std::make_unique<obs::ContentionSite>(std::string(Policy::kName));
+    }
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return tags_.size(); }
   [[nodiscard]] round_t round() const noexcept { return round_; }
 
   /// Starts the next concurrent-write step. Not thread-safe: call it from
-  /// serial code (or a single thread) between parallel regions — the same
-  /// place the PRAM model puts its step boundary. ResetMode::kPolicy runs
-  /// the O(N) gatekeeper sweep here, serially; kCaller defers it to the
-  /// caller (pair with reset_tags_parallel()); kNone skips it.
+  /// serial code between parallel regions — the same place the PRAM model
+  /// puts its step boundary. ResetMode::kPolicy first re-arms the tags the
+  /// way the arbiter was built (see the header comment); kNone skips that.
+  /// Policies without a per-round reset only advance the round.
   [[nodiscard]] RoundScope next_round(ResetMode mode = ResetMode::kPolicy) {
-    ++round_;
     if constexpr (Policy::kNeedsRoundReset) {
-      if (mode == ResetMode::kPolicy) {
-        for (std::size_t i = 0; i < tags_.size(); ++i) Policy::reset(tag(i));
-        count_reset_tags(tags_.size());
-        clear_touched();
-      } else if (mode == ResetMode::kPolicySparse) {
-        reset_tags_sparse_serial();
-      }
+      if (mode == ResetMode::kPolicy) rearm();
     }
+    ++round_;
     return RoundScope(*this, round_);
   }
 
@@ -159,11 +160,13 @@ class WriteArbiter {
   /// loop index as the round (paper §5: "round could be substituted by the
   /// loop iteration"). The caller owns monotonicity of `round` per target
   /// — and, for instrumented runs, calls flush_round_metrics() at its own
-  /// step boundaries. Every acquire path funnels through here; a win is
-  /// recorded in the caller's touched list when tracking is on (the winner
-  /// is the unique perturbation witness: a gatekeeper tag is dirty iff
-  /// some RMW hit it, and the first RMW is exactly the win).
-  bool acquire_at(std::size_t i, round_t round) {
+  /// step boundaries. Every acquire path funnels through here. On a sparse
+  /// arbiter a win is recorded in touched-list `lane` (the winner is the
+  /// unique perturbation witness: a gatekeeper tag is dirty iff some RMW
+  /// hit it, and the first RMW is exactly the win). lane < 0 means
+  /// omp_get_thread_num(); raw-std::thread callers, for whom that is 0,
+  /// pass their own, at most one thread per lane at a time.
+  bool acquire_at(std::size_t i, round_t round, int lane = -1) {
     bool won;
     if constexpr (kInstrumentedPolicy) {
       won = Policy::try_acquire(tag(i), round, *site_);
@@ -171,23 +174,11 @@ class WriteArbiter {
       won = Policy::try_acquire(tag(i), round);
     }
     if constexpr (Policy::kNeedsRoundReset) {
-      if (won && tracking_) record_touch(i, omp_get_thread_num());
-    }
-    return won;
-  }
-
-  /// Same, with an explicit touched-list lane. Raw-std::thread callers
-  /// (where omp_get_thread_num() is 0 for everyone) must use this; the
-  /// contract is at most one thread per lane at a time.
-  bool acquire_at(std::size_t i, round_t round, int lane) {
-    bool won;
-    if constexpr (kInstrumentedPolicy) {
-      won = Policy::try_acquire(tag(i), round, *site_);
-    } else {
-      won = Policy::try_acquire(tag(i), round);
-    }
-    if constexpr (Policy::kNeedsRoundReset) {
-      if (won && tracking_) record_touch(i, lane);
+      // Off the straight line: without the hint GCC lays the append out
+      // inline and spills the kernels' edge-loop registers around it.
+      if (won && !touch_lanes_.empty()) [[unlikely]] {
+        record_touch(i, lane < 0 ? omp_get_thread_num() : lane);
+      }
     }
     return won;
   }
@@ -195,56 +186,8 @@ class WriteArbiter {
   /// True iff the calling thread won the current-round write to target i.
   bool try_acquire(std::size_t i) { return acquire_at(i, round_); }
 
-  /// The gatekeeper re-initialisation sweep, work-shared across the OpenMP
-  /// team (Fig 3(b) lines 34-35: O(N) work, O(N/P) depth). Pair with
-  /// next_round(ResetMode::kCaller); no-op for policies without per-round
-  /// reset. `threads <= 0` means the OpenMP default.
-  void reset_tags_parallel(int threads = 0) {
-    if constexpr (Policy::kNeedsRoundReset) {
-      if (threads <= 0) threads = omp_get_max_threads();
-      const auto n = static_cast<std::ptrdiff_t>(tags_.size());
-#pragma omp parallel for num_threads(threads) schedule(static)
-      for (std::ptrdiff_t i = 0; i < n; ++i) {
-        Policy::reset(tag(static_cast<std::size_t>(i)));
-      }
-      count_reset_tags(tags_.size());
-      clear_touched();  // everything is fresh; stale lists would only grow
-    }
-  }
-
-  /// The sparse alternative to reset_tags_parallel: resets only the tags
-  /// recorded in the touched lists since the previous reset — O(#writes)
-  /// work instead of Θ(N) — work-shared over lanes across the OpenMP team.
-  /// Pair with next_round(ResetMode::kCaller). Requires the arbiter to
-  /// have been constructed with TouchTracking::kEnabled *and every acquire
-  /// since the last reset to have gone through a tracked path*; falls back
-  /// to the full parallel sweep when tracking is off. No-op for policies
-  /// without per-round reset. `threads <= 0` means the OpenMP default.
-  void reset_tags_sparse(int threads = 0) {
-    if constexpr (Policy::kNeedsRoundReset) {
-      if (!tracking_) {
-        reset_tags_parallel(threads);
-        return;
-      }
-      if (threads <= 0) threads = omp_get_max_threads();
-      const auto lanes = static_cast<std::ptrdiff_t>(touch_lanes_.size());
-      std::uint64_t total = 0;
-#pragma omp parallel for num_threads(threads) schedule(static) reduction(+ : total)
-      for (std::ptrdiff_t li = 0; li < lanes; ++li) {
-        auto& list = touch_lanes_[static_cast<std::size_t>(li)].touched;
-        for (const std::size_t i : list) Policy::reset(tag(i));
-        total += list.size();
-        list.clear();
-      }
-      count_reset_tags(total);
-    }
-  }
-
-  /// True when this arbiter records winning acquires for sparse resets.
-  [[nodiscard]] bool tracking() const noexcept { return tracking_; }
-
-  /// Entries currently held across the touched lists (test/debug probe;
-  /// serial or post-barrier only).
+  /// Entries currently held across the touched lists — the tags the next
+  /// sparse re-arm resets (test/debug probe; serial or post-barrier only).
   [[nodiscard]] std::uint64_t touched_count() const noexcept {
     std::uint64_t total = 0;
     for (const auto& lane : touch_lanes_) total += lane.touched.size();
@@ -272,11 +215,12 @@ class WriteArbiter {
     round_ = r;
   }
 
-  /// Restores every tag and the round counter to the fresh state; serial.
+  /// Restores every tag and the round counter to the fresh state. Serial
+  /// call site; the sweep runs on the configured threads.
   void reset_all() {
-    for (std::size_t i = 0; i < tags_.size(); ++i) Policy::reset(tag(i));
+    sweep();
+    for (auto& lane : touch_lanes_) lane.touched.clear();
     round_ = kInitialRound;
-    clear_touched();
   }
 
   /// Folds the round's contention deltas into the per-round histograms.
@@ -301,21 +245,15 @@ class WriteArbiter {
  private:
   // One cache line per lane so concurrent push_backs never share a line.
   // The vector's heap storage is lane-private too (only its owning thread
-  // appends; the reset sweeps read it post-barrier / serially).
+  // appends; the re-arm reads it between rounds).
   struct alignas(util::kCacheLineSize) TouchLane {
     std::vector<std::size_t> touched;
   };
 
-  void init_site() {
-    if constexpr (kInstrumentedPolicy) {
-      site_ = std::make_unique<obs::ContentionSite>(std::string(Policy::kName));
-    }
-  }
-
   [[nodiscard]] static std::size_t touch_lane_count(const ArbiterConfig& cfg) {
-    if (!Policy::kNeedsRoundReset || cfg.tracking != TouchTracking::kEnabled) return 0;
-    const int lanes = cfg.lanes > 0 ? cfg.lanes : omp_get_max_threads();
-    return static_cast<std::size_t>(lanes > 0 ? lanes : 1);
+    if (!Policy::kNeedsRoundReset || cfg.rearm != Rearm::kSparse) return 0;
+    if (cfg.lanes > 0) return static_cast<std::size_t>(cfg.lanes);
+    return static_cast<std::size_t>(std::max({cfg.threads, omp_get_max_threads(), 1}));
   }
 
   void record_touch(std::size_t i, int lane) {
@@ -324,28 +262,38 @@ class WriteArbiter {
     touch_lanes_[static_cast<std::size_t>(lane)].touched.push_back(i);
   }
 
-  void clear_touched() noexcept {
-    for (auto& lane : touch_lanes_) lane.touched.clear();
+  /// Runs body(i) for i in [0, n): work-shared across an OpenMP team of
+  /// threads_ under schedule(static), or a plain loop with no OpenMP region
+  /// when threads_ <= 1.
+  template <typename Body>
+  void for_each_index(std::size_t n, const Body& body) {
+    if (threads_ > 1) {
+      const auto count = static_cast<std::ptrdiff_t>(n);
+#pragma omp parallel for num_threads(threads_) schedule(static)
+      for (std::ptrdiff_t i = 0; i < count; ++i) body(static_cast<std::size_t>(i));
+    } else {
+      for (std::size_t i = 0; i < n; ++i) body(i);
+    }
   }
 
-  /// Serial sparse sweep (ResetMode::kPolicySparse): no OpenMP, so the
-  /// raw-thread stress tier can drive it. Falls back to the full serial
-  /// sweep when tracking is off (tags could be stale otherwise).
-  void reset_tags_sparse_serial() {
-    if constexpr (Policy::kNeedsRoundReset) {
-      if (!tracking_) {
-        for (std::size_t i = 0; i < tags_.size(); ++i) Policy::reset(tag(i));
-        count_reset_tags(tags_.size());
-        return;
-      }
-      std::uint64_t total = 0;
-      for (auto& lane : touch_lanes_) {
-        for (const std::size_t i : lane.touched) Policy::reset(tag(i));
-        total += lane.touched.size();
-        lane.touched.clear();
-      }
-      count_reset_tags(total);
+  void sweep() {
+    for_each_index(tags_.size(), [this](std::size_t i) { Policy::reset(tag(i)); });
+  }
+
+  /// The round-boundary re-arm: every tag on a sweep arbiter (no touched
+  /// lists), else each lane's recorded wins, lanes work-shared.
+  void rearm() {
+    if (touch_lanes_.empty()) {
+      sweep();
+      count_reset_tags(tags_.size());
+      return;
     }
+    count_reset_tags(touched_count());
+    for_each_index(touch_lanes_.size(), [this](std::size_t l) {
+      auto& list = touch_lanes_[l].touched;
+      for (const std::size_t i : list) Policy::reset(tag(i));
+      list.clear();
+    });
   }
 
   void count_reset_tags(std::uint64_t k) noexcept {
@@ -355,13 +303,12 @@ class WriteArbiter {
   }
 
   util::AlignedBuffer<Stored> tags_;
-  util::AlignedBuffer<TouchLane> touch_lanes_;  ///< empty unless tracking
+  util::AlignedBuffer<TouchLane> touch_lanes_;  ///< empty unless Rearm::kSparse
+  int threads_;
   round_t round_ = kInitialRound;
-  bool tracking_ = false;
   // Heap-owned so the arbiter stays movable (ContentionSite pins its
   // address in the registry); null for uninstrumented policies.
   std::unique_ptr<obs::ContentionSite> site_;
 };
 
 }  // namespace crcw
-

@@ -13,12 +13,11 @@
 //     // barrier = synchronisation point; then cells[u] is stable
 //   }
 //
-// For gatekeeper-family policies begin_round performs the required O(N)
-// re-initialisation (optionally in parallel via begin_round_parallel); for
-// CAS-LT it is a single increment — the §6 cost difference, embodied.
+// begin_round() is the arbiter's next_round(): for gatekeeper-family
+// policies it re-arms the tags the way the ArbiterConfig says (the Θ(N)
+// sweep or the sparse re-arm, serially or on an OpenMP team); for CAS-LT
+// it is a single increment — the §6 cost difference, embodied.
 #pragma once
-
-#include <omp.h>
 
 #include <cstddef>
 #include <utility>
@@ -46,44 +45,18 @@ class ConWriteArray {
   explicit ConWriteArray(std::size_t n, T initial = T{})
       : values_(n, initial), arbiter_(n) {}
 
-  /// Perf-layer construction: ArbiterConfig selects touch tracking (for
-  /// begin_round_sparse) and first-touch placement; the payload array
-  /// follows the same placement as the tags.
+  /// Perf-layer construction: ArbiterConfig selects how begin_round
+  /// re-arms and on how many threads; the payload pages are first-touched
+  /// by the same team as the tags.
   ConWriteArray(std::size_t n, const ArbiterConfig& cfg, T initial = T{})
-      : values_(n, initial, cfg.first_touch, cfg.first_touch_threads),
-        arbiter_(n, cfg) {}
+      : values_(n, initial, cfg.first_touch(), cfg.threads), arbiter_(n, cfg) {}
 
   [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
   [[nodiscard]] round_t round() const noexcept { return arbiter_.round(); }
 
   /// Starts the next concurrent-write step (serial; call between parallel
   /// regions). Returns the new round id.
-  round_t begin_round() { return arbiter_.next_round(ResetMode::kPolicy).round(); }
-
-  /// Same, but runs the policy's per-round tag reset (if any) work-shared
-  /// over OpenMP threads — what the Fig 3(b) kernel does on lines 34-35.
-  round_t begin_round_parallel(int threads = 0) {
-    if constexpr (Policy::kNeedsRoundReset) {
-      auto scope = arbiter_.next_round(ResetMode::kCaller);
-      arbiter_.reset_tags_parallel(threads);
-      return scope.round();
-    } else {
-      return arbiter_.next_round(ResetMode::kNone).round();
-    }
-  }
-
-  /// Same, but sweeps only last round's touched tags — O(#writes) instead
-  /// of Θ(N). Needs construction with TouchTracking::kEnabled (falls back
-  /// to the full sweep otherwise); no-op increment for reset-free policies.
-  round_t begin_round_sparse(int threads = 0) {
-    if constexpr (Policy::kNeedsRoundReset) {
-      auto scope = arbiter_.next_round(ResetMode::kCaller);
-      arbiter_.reset_tags_sparse(threads);
-      return scope.round();
-    } else {
-      return arbiter_.next_round(ResetMode::kNone).round();
-    }
-  }
+  round_t begin_round() { return arbiter_.next_round().round(); }
 
   /// Concurrent write of `v` into cell i under the current round; true iff
   /// the calling thread won.

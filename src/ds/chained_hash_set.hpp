@@ -116,11 +116,7 @@ class ChainedHashSet {
     node.key = key;
     node.dead.store(false, std::memory_order_relaxed);
 
-    // Adaptive mode stamps the loser's ceiling from the site's observed
-    // failure rate (refreshed at flush_round); default mode keeps the
-    // static bound.
-    util::Backoff backoff =
-        cfg_.adaptive_backoff ? adaptive_.make() : util::Backoff{};
+    util::Backoff backoff;
     for (;;) {
       node.next.store(top, std::memory_order_relaxed);
       telemetry_.cas();
@@ -287,25 +283,6 @@ class ChainedHashSet {
       folded_refills_ = refills;
     }
     telemetry_.flush_round();
-    refresh_backoff_ceiling();
-  }
-
-  /// Re-samples the adaptive head-CAS backoff ceiling from the site's
-  /// cumulative failure rate (CASes that lost = atomics − wins; erase and
-  /// tombstone CASes fold in as "contended traffic", which is the right
-  /// bias — they fight over the same chains). No-op unless
-  /// HashConfig::adaptive_backoff AND telemetry are on.
-  void refresh_backoff_ceiling() noexcept {
-    if (!cfg_.adaptive_backoff || !telemetry_.enabled()) return;
-    const obs::ContentionTotals t = telemetry_.site()->totals();
-    adaptive_.observe(t.atomics, t.atomics > t.wins ? t.atomics - t.wins : 0);
-  }
-
-  /// The live head-CAS backoff ceiling (quiet default unless adaptive
-  /// mode has observed contention). Tests and the ext_hash storm A/B read
-  /// this to pin the adaptation direction.
-  [[nodiscard]] std::uint32_t backoff_ceiling() const noexcept {
-    return adaptive_.ceiling();
   }
 
  private:
@@ -345,7 +322,6 @@ class ChainedHashSet {
   util::AlignedBuffer<Node> arena_;
   ShardedCounter size_;
   ShardedCounter dead_;
-  util::AdaptiveBackoffCeiling adaptive_;  ///< head-CAS ceiling (adaptive mode)
   std::uint64_t folded_refills_ = 0;  ///< serial: flush_round only
 };
 

@@ -218,14 +218,6 @@ struct HashConfig {
   /// profile passes only — counting costs sharded RMWs (see
   /// InstrumentedPolicy's caveat).
   bool telemetry = false;
-  /// Adaptive retry backoff (chained set only — the open tables' CAS-LT
-  /// claim is wait-free and never retries): cap the head-CAS Backoff
-  /// ceiling off the site's live failure rate, re-sampled at each
-  /// flush_round (util::AdaptiveBackoffCeiling). Needs `telemetry` — the
-  /// failure rate comes from the site's atomics/wins counters; without it
-  /// the ceiling stays at the quiet default. The ext_hash storm bench A/Bs
-  /// this knob.
-  bool adaptive_backoff = false;
   /// Site name when telemetry is on.
   std::string site_name = "hash";
 };

@@ -143,22 +143,16 @@ struct WireConfig {
   /// (garbage framing defence; both sides use fixed-size frames far
   /// below it).
   std::uint32_t max_frame_bytes = 64 * 1024;
-  /// Requests a connection handler admits per submit burst before it
-  /// turns around and writes the replies.
-  int io_batch = 256;
 };
 
 /// The streaming backend (src/stream): the vertex universe of the dynamic
-/// graph and the sizing of its edge table. Only stream::StreamScheduler
-/// reads these; KV backends ignore them.
+/// graph. Only stream::StreamScheduler reads it (its edge table is sized by
+/// TableConfig::expected_keys); KV backends ignore it.
 struct StreamConfig {
   /// Vertex-id universe [0, vertices); edge ops and connectivity queries
   /// naming vertices outside it (or self-loops) are rejected at admission
   /// the same wait-free way the KV backends reject the sentinel key.
   std::uint32_t vertices = 1 << 16;
-  /// Expected live edges — initial capacity of the shared edge table
-  /// (0 = fall back to TableConfig::expected_keys).
-  std::uint64_t expected_edges = 0;
 };
 
 /// The snapshot subsystem (src/snap). Only the wire server reads these:
@@ -208,7 +202,6 @@ struct ServeConfig {
     v.shards.count = pow2;
     if (v.wire.listen_backlog < 1) throw std::invalid_argument("serve: listen_backlog < 1");
     if (v.wire.max_frame_bytes < 64) throw std::invalid_argument("serve: max_frame_bytes < 64");
-    if (v.wire.io_batch < 1) throw std::invalid_argument("serve: io_batch < 1");
     return v;
   }
 
@@ -251,11 +244,6 @@ struct ServeConfig {
   [[nodiscard]] ServeConfig with_vertices(std::uint32_t n) const {
     ServeConfig c = *this;
     c.stream.vertices = n;
-    return c;
-  }
-  [[nodiscard]] ServeConfig with_expected_edges(std::uint64_t m) const {
-    ServeConfig c = *this;
-    c.stream.expected_edges = m;
     return c;
   }
   [[nodiscard]] ServeConfig with_snapshot_dir(std::string dir) const {

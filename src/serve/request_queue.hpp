@@ -2,9 +2,10 @@
 //
 // Layout follows the repo's sharding idiom (obs::ContentionSite,
 // ds::ShardedCounter): one cache-line-padded sub-queue per *lane*, each
-// guarded by its own spinlock, with clients bound to lanes by a dense
-// thread-local index. Uncontended enqueues therefore touch only their own
-// line; the pump drains every lane at a batch boundary. Counts, admission
+// guarded by its own spinlock; the caller names the lane (the backend's
+// route(key), which spreads client threads over their key's part by a
+// dense thread-local slot). Uncontended enqueues therefore touch only their
+// own line; the pump drains every lane at a batch boundary. Counts, admission
 // totals and the oldest-enqueue timestamp are advisory relaxed atomics —
 // they steer the admission trigger, never correctness (the drain under the
 // lane lock is the authoritative hand-off, and its acquire/release pairing
@@ -19,15 +20,12 @@
 //
 // Backpressure: a lane holds at most `lane_backlog` records; try_enqueue
 // refuses at the watermark and the caller relieves the pressure — the
-// session's submit() helps drain, a raw enqueue() backs off (spin, then
-// yield) until some other pump drains. Either way queue memory stays
-// bounded and, on oversubscribed machines, the core goes to the pump
-// instead of racing it.
+// session's submit() helps drain. Queue memory stays bounded and, on
+// oversubscribed machines, the core goes to the pump instead of racing it.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <thread>
 #include <vector>
 
 #include "serve/op.hpp"
@@ -56,21 +54,16 @@ enum class Close : std::uint8_t {
 
 class RequestQueue {
  public:
-  /// Lane sentinel for try_enqueue: "no routing preference" — the record
-  /// goes to the caller's own (dense thread-local) lane. Routed backends
-  /// pass a real lane index instead (lane→shard affinity).
-  static constexpr std::size_t kAnyLane = ~std::size_t{0};
-
   /// `lanes` ≥ 1 sub-queues; `lane_backlog` is the per-lane watermark
-  /// (0 = unbounded); `backoff_spins` parameterises the blocked-client
-  /// waiter; `sample_mask` thins latency timestamping (2^k − 1 = stamp
-  /// every 2^k-th op per client; 0 = stamp every op — an unstamped
+  /// (0 = unbounded); `sample_mask` thins latency timestamping (2^k − 1 =
+  /// stamp every 2^k-th op per client; 0 = stamp every op — an unstamped
   /// record carries enqueue_ns 0 and skips the histograms downstream).
-  RequestQueue(int lanes, std::uint64_t lane_backlog, int backoff_spins,
+  /// The third argument, the blocked-client spin budget, is unused: a
+  /// refused caller waits with its own BackoffState (BasicServeSession::submit).
+  RequestQueue(int lanes, std::uint64_t lane_backlog, int /*backoff_spins*/,
                std::uint64_t sample_mask = 0)
       : lanes_(static_cast<std::size_t>(lanes < 1 ? 1 : lanes)),
         lane_backlog_(lane_backlog),
-        backoff_spins_(backoff_spins),
         sample_mask_(sample_mask) {}
 
   [[nodiscard]] std::size_t lanes() const noexcept { return lanes_.size(); }
@@ -79,14 +72,11 @@ class RequestQueue {
   /// lane is at its watermark. The caller decides how to relieve the
   /// pressure — back off, or help drain (BasicServeSession::submit does
   /// the latter, so a pump-less session can never deadlock on its own
-  /// backlog). `lane` picks the sub-queue (kAnyLane = the caller's own;
-  /// out-of-range wraps — routed callers size the queue to match). The
+  /// backlog). `lane` picks the sub-queue — the backend's route(key);
+  /// out-of-range wraps, and routed callers size the queue to match. The
   /// future must stay pinned until it completes.
-  [[nodiscard]] bool try_enqueue(const Op& op, OpFuture& future,
-                                 std::size_t lane_hint = kAnyLane) {
-    Lane& lane = lanes_[lane_hint == kAnyLane         ? lane_index()
-                        : lane_hint < lanes_.size() ? lane_hint
-                                                    : lane_hint % lanes_.size()];
+  [[nodiscard]] bool try_enqueue(const Op& op, OpFuture& future, std::size_t lane_hint) {
+    Lane& lane = lanes_[lane_hint < lanes_.size() ? lane_hint : lane_hint % lanes_.size()];
     if (lane_backlog_ != 0 &&
         lane.count.load(std::memory_order_relaxed) >= lane_backlog_) {
       return false;  // admission backpressure
@@ -112,14 +102,6 @@ class RequestQueue {
     lane.count.store(lane.records.size(), std::memory_order_relaxed);
     lane.lock.clear(std::memory_order_release);
     return true;
-  }
-
-  /// Blocking admission: spin-then-yield until the lane has room. Only
-  /// safe when some *other* thread drains; a lone thread must use
-  /// try_enqueue and relieve its own backpressure.
-  void enqueue(const Op& op, OpFuture& future) {
-    BackoffState backoff(backoff_spins_);
-    while (!try_enqueue(op, future)) backoff.pause();
   }
 
   /// Moves lane l's pending records into `out` (appending, admission
@@ -203,17 +185,8 @@ class RequestQueue {
     std::vector<Record> records;
   };
 
-  /// Dense thread index, recycled mod lanes — the ShardedCounter contract:
-  /// collisions degrade to lock sharing, never to wrong hand-offs.
-  [[nodiscard]] std::size_t lane_index() const noexcept {
-    static std::atomic<std::size_t> next{0};
-    thread_local const std::size_t index = next.fetch_add(1, std::memory_order_relaxed);
-    return index % lanes_.size();
-  }
-
   util::AlignedBuffer<Lane> lanes_;
   std::uint64_t lane_backlog_;
-  int backoff_spins_;
   std::uint64_t sample_mask_;
   // Admission total at the previous trigger() check; written only when it
   // moved, so idle pollers keep the line shared.

@@ -327,7 +327,7 @@ class RoundPump {
     // execution region below.
     if (!parked) executor().reserve(parts_);
 
-    const auto scope = arbiter_.next_round(ResetMode::kNone);
+    const auto scope = arbiter_.next_round();
     const round_t r = scope.round();
     const auto n_parts = static_cast<std::ptrdiff_t>(parts_.size());
     const auto read = [&](std::ptrdiff_t p) {

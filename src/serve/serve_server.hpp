@@ -6,7 +6,7 @@
 // session's background pump so deadline batches close without client-side
 // pumping. Each accepted connection gets a handler thread:
 //
-//   read chunk → RequestDecoder → submit burst (≤ io_batch ops, futures
+//   read chunk → RequestDecoder → submit burst (≤ kIoBatch ops, futures
 //   pinned on the handler's stack) → wait → encode replies IN REQUEST
 //   ORDER → write_all
 //
@@ -76,6 +76,10 @@ void shutdown_fd(int fd);
 void close_fd(int fd);
 
 }  // namespace net
+
+/// Requests a connection handler admits per submit burst before it turns
+/// around and writes the replies.
+inline constexpr std::size_t kIoBatch = 256;
 
 template <ServiceBackend Backend>
 class BasicWireServer {
@@ -152,22 +156,21 @@ class BasicWireServer {
     std::vector<std::uint8_t> chunk(64 * 1024);
     std::vector<wire::Request> burst;
     std::vector<std::uint8_t> out;
-    const auto io_batch = static_cast<std::size_t>(cfg_.io_batch);
     // OpFuture is pinned (atomics, raw pointer held by the engine), so the
     // pool is sized once and never reallocated; submit() re-arms each slot.
-    std::vector<OpFuture> futures(io_batch);
+    std::vector<OpFuture> futures(kIoBatch);
 
     for (;;) {
       const std::ptrdiff_t n = net::read_some(fd, chunk.data(), chunk.size());
       if (n <= 0) break;  // peer closed, error, or stop()'s shutdown
       decoder.feed(chunk.data(), static_cast<std::size_t>(n));
       for (;;) {
-        // Decode up to io_batch requests, run them as one submit burst,
+        // Decode up to kIoBatch requests, run them as one submit burst,
         // reply in request order, repeat until the chunk is exhausted.
         burst.clear();
         wire::Request req;
         wire::DecodeStatus st = wire::DecodeStatus::kNeedMore;
-        while (burst.size() < io_batch &&
+        while (burst.size() < kIoBatch &&
                (st = decoder.next(req)) == wire::DecodeStatus::kFrame) {
           burst.push_back(req);
         }

@@ -72,9 +72,7 @@ class StreamScheduler : public serve::RoundPump<StreamScheduler> {
   StreamScheduler(const serve::ServeConfig& cfg, serve::RequestQueue& queue,
                   serve::ServeMetrics& metrics)
       : RoundPump(cfg, queue, metrics),
-        graph_(config().stream.vertices,
-               config().stream.expected_edges != 0 ? config().stream.expected_edges
-                                                   : config().table.expected_keys,
+        graph_(config().stream.vertices, config().table.expected_keys,
                config().table.hash_config("stream-edges")),
         cc_(config().stream.vertices, config().batch.counters),
         stripes_(static_cast<std::size_t>(shard_count())) {}
@@ -189,8 +187,9 @@ class StreamScheduler : public serve::RoundPump<StreamScheduler> {
     return Admit::kReject;
   }
 
-  /// Stream checkpoint workloads pre-size via StreamConfig::expected_edges,
-  /// since a held cut parks this grow.
+  /// Grows the edge table for the batch's writes. The pump skips this
+  /// while a snapshot cut is held, so a workload that checkpoints under
+  /// load sizes the table up front (TableConfig::expected_keys).
   void reserve(std::span<const Part> parts) {
     std::uint64_t writes = 0;
     for (const Part& part : parts) writes += part.writes;

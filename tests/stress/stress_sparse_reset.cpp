@@ -1,9 +1,10 @@
-// Sparse gatekeeper reset under raw-thread schedules. The tier-1 suites
-// exercise reset_tags_sparse (OpenMP work-shared); this tier drives the
-// serial ResetMode::kPolicySparse path — no OpenMP regions at all — with
-// explicit touched-list lanes, so TSan can check the claim the sparse
-// scheme rests on: winner-only touch recording captures the exact dirty
-// tag set, and resetting just that set leaves every tag fresh.
+// Sparse gatekeeper re-arm under raw-thread schedules. The tier-1 suites
+// exercise it on an OpenMP team; this tier builds the arbiter with one
+// re-arm thread, so next_round() re-arms serially — no OpenMP regions at
+// all — and acquires with explicit touched-list lanes, so TSan can check
+// the claim the sparse scheme rests on: winner-only touch recording
+// captures the exact dirty tag set, and resetting just that set leaves
+// every tag fresh.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,15 +21,14 @@ using stress::run_lockstep;
 using stress::scaled;
 using stress::thread_count;
 
+/// Sparse re-arm on the calling thread (threads = 1), one lane per raw
+/// thread.
 ArbiterConfig tracked_config(int lanes) {
-  ArbiterConfig cfg;
-  cfg.tracking = TouchTracking::kEnabled;
-  cfg.lanes = lanes;
-  return cfg;
+  return {.rearm = Rearm::kSparse, .threads = 1, .lanes = lanes};
 }
 
 /// Frontier-shaped rounds: a small distinct target set under full
-/// contention. The audit runs the serial sparse sweep and then scans ALL
+/// contention. The audit runs the serial sparse re-arm and then scans ALL
 /// N tags — any tag the touched lists missed stays taken and fails the
 /// freshness check in a later round's win count.
 TEST(StressSparseReset, DistinctTargetsExactWinnersAndFreshTags) {
@@ -56,8 +56,8 @@ TEST(StressSparseReset, DistinctTargetsExactWinnersAndFreshTags) {
         ASSERT_EQ(wins.exchange(0, std::memory_order_relaxed), kWrites)
             << "round " << r;
         ASSERT_EQ(arbiter.touched_count(), kWrites) << "round " << r;
-        // The serial sparse sweep — the stress tier's reset mode.
-        auto scope = arbiter.next_round(ResetMode::kPolicySparse);
+        // The serial sparse re-arm — no OpenMP region under TSan.
+        auto scope = arbiter.next_round();
         (void)scope;
         for (std::size_t i = 0; i < kTargets; ++i) {
           ASSERT_EQ(arbiter.tag(i).contenders(), 0u)
@@ -89,7 +89,7 @@ TEST(StressSparseReset, RandomContentionNeverLeavesStaleTags) {
       [&](round_t r) {
         // One touched entry per won target; wins <= distinct targets hit.
         ASSERT_LE(arbiter.touched_count(), kTargets) << "round " << r;
-        auto scope = arbiter.next_round(ResetMode::kPolicySparse);
+        auto scope = arbiter.next_round();
         (void)scope;
         ASSERT_EQ(arbiter.touched_count(), 0u);
         for (std::size_t i = 0; i < kTargets; ++i) {

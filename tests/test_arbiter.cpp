@@ -7,6 +7,8 @@
 #include <atomic>
 #include <vector>
 
+#include "core/instrumented.hpp"
+
 namespace crcw {
 namespace {
 
@@ -48,31 +50,33 @@ TEST(WriteArbiter, GatekeeperPolicyModeResets) {
   for (std::size_t i = 0; i < 5; ++i) EXPECT_TRUE(scope.acquire(i));
 }
 
-TEST(WriteArbiter, CallerModeDefersTheSweep) {
+TEST(WriteArbiter, NoneModeSkipsTheReArm) {
   WriteArbiter<GatekeeperPolicy> arb(5);
   {
     auto scope = arb.next_round();
     for (std::size_t i = 0; i < 5; ++i) ASSERT_TRUE(scope.acquire(i));
   }
   {
-    // Without the sweep the gatekeeper tags stay taken…
+    // Without the re-arm the gatekeeper tags stay taken…
     auto scope = arb.next_round(ResetMode::kNone);
     for (std::size_t i = 0; i < 5; ++i) EXPECT_FALSE(scope.acquire(i));
   }
-  // …until the caller runs it (work-shared form).
-  arb.reset_tags_parallel(2);
-  auto scope = arb.next_round(ResetMode::kCaller);
+  // …until a kPolicy round boundary re-arms them, here on a team.
+  WriteArbiter<GatekeeperPolicy> team(5, {.threads = 2});
+  {
+    auto scope = team.next_round();
+    for (std::size_t i = 0; i < 5; ++i) ASSERT_TRUE(scope.acquire(i));
+  }
+  auto scope = team.next_round();
   for (std::size_t i = 0; i < 5; ++i) EXPECT_TRUE(scope.acquire(i));
 }
 
 TEST(WriteArbiter, ResetModeIrrelevantWithoutPolicySweep) {
-  // CAS-LT never resets; all three modes are pure round increments.
-  WriteArbiter<CasLtPolicy> arb(2);
+  // CAS-LT never resets; both modes are pure round increments.
+  WriteArbiter<CasLtPolicy> arb(2, {.rearm = Rearm::kSparse, .threads = 2});
   EXPECT_EQ(arb.next_round(ResetMode::kPolicy).round(), 1u);
-  EXPECT_EQ(arb.next_round(ResetMode::kCaller).round(), 2u);
-  EXPECT_EQ(arb.next_round(ResetMode::kNone).round(), 3u);
-  arb.reset_tags_parallel();  // no-op, must compile and not perturb rounds
-  EXPECT_EQ(arb.round(), 3u);
+  EXPECT_EQ(arb.next_round(ResetMode::kNone).round(), 2u);
+  EXPECT_EQ(arb.round(), 2u);
 }
 
 TEST(WriteArbiter, ExplicitRoundAcquireAt) {
@@ -124,76 +128,109 @@ TEST(WriteArbiter, PackedLayoutIsDense) {
 }
 
 TEST(WriteArbiter, ConfigEnablesTracking) {
-  ArbiterConfig cfg;
-  cfg.tracking = TouchTracking::kEnabled;
-  cfg.lanes = 2;
-  WriteArbiter<GatekeeperPolicy> tracked(4, cfg);
-  EXPECT_TRUE(tracked.tracking());
-  EXPECT_EQ(tracked.touched_count(), 0u);
+  const ArbiterConfig sparse{.rearm = Rearm::kSparse, .lanes = 2};
+  WriteArbiter<GatekeeperPolicy> tracked(4, sparse);
+  {
+    auto scope = tracked.next_round();
+    ASSERT_TRUE(scope.acquire(0));
+  }
+  EXPECT_EQ(tracked.touched_count(), 1u);
 
-  // Tracking is meaningless for policies without a per-round reset; the
-  // arbiter must not pay for lists CAS-LT would never drain.
-  WriteArbiter<CasLtPolicy> caslt(4, cfg);
-  EXPECT_FALSE(caslt.tracking());
+  // Touched lists are meaningless for policies without a per-round reset;
+  // the arbiter must not pay for lists CAS-LT would never drain.
+  WriteArbiter<CasLtPolicy> caslt(4, sparse);
+  {
+    auto scope = caslt.next_round();
+    ASSERT_TRUE(scope.acquire(0));
+  }
+  EXPECT_EQ(caslt.touched_count(), 0u);
 
-  // Default config = paper-faithful behaviour: no tracking.
-  WriteArbiter<GatekeeperPolicy> plain(4, ArbiterConfig{});
-  EXPECT_FALSE(plain.tracking());
+  // Default config = the paper-faithful sweep: no lists.
+  WriteArbiter<GatekeeperPolicy> plain(4);
+  {
+    auto scope = plain.next_round();
+    ASSERT_TRUE(scope.acquire(0));
+  }
+  EXPECT_EQ(plain.touched_count(), 0u);
 }
 
 TEST(WriteArbiter, TouchedListsRecordWinnersOnly) {
-  ArbiterConfig cfg;
-  cfg.tracking = TouchTracking::kEnabled;
-  cfg.lanes = 1;
-  WriteArbiter<GatekeeperPolicy> arb(8, cfg);
+  WriteArbiter<GatekeeperPolicy> arb(8, {.rearm = Rearm::kSparse, .lanes = 1});
   {
-    auto scope = arb.next_round(ResetMode::kNone);
+    auto scope = arb.next_round();
     ASSERT_TRUE(scope.acquire(3));
     ASSERT_FALSE(scope.acquire(3));  // loser: no touched entry
-    ASSERT_TRUE(scope.acquire(5, /*lane=*/0));  // explicit-lane overload
+    ASSERT_TRUE(scope.acquire(5, /*lane=*/0));  // explicit lane
   }
   EXPECT_EQ(arb.touched_count(), 2u);
-  arb.reset_tags_sparse();
+  auto scope = arb.next_round();  // the sparse re-arm drains the lists
   EXPECT_EQ(arb.touched_count(), 0u);
-  auto scope = arb.next_round(ResetMode::kNone);
-  EXPECT_TRUE(scope.acquire(3));  // sparse reset re-armed the touched tag
+  EXPECT_TRUE(scope.acquire(3));
+  EXPECT_TRUE(scope.acquire(5));
 }
 
-TEST(WriteArbiter, PolicySparseModeSweepsSerially) {
-  ArbiterConfig cfg;
-  cfg.tracking = TouchTracking::kEnabled;
-  cfg.lanes = 1;
-  WriteArbiter<GatekeeperPolicy> arb(16, cfg);
+TEST(WriteArbiter, SparseRearmOnOneThreadRunsInNextRound) {
+  // threads = 1: the re-arm is a plain loop on the calling thread, no
+  // OpenMP region — the mode the raw-thread stress tier relies on.
+  WriteArbiter<GatekeeperPolicy> arb(16, {.rearm = Rearm::kSparse, .lanes = 1});
   {
-    auto scope = arb.next_round(ResetMode::kNone);
+    auto scope = arb.next_round();
     for (std::size_t i = 0; i < 16; i += 4) ASSERT_TRUE(scope.acquire(i));
   }
-  // kPolicySparse resets the touched tags at the next step boundary — no
-  // OpenMP involved, so the raw-thread stress tier can use this mode too.
-  auto scope = arb.next_round(ResetMode::kPolicySparse);
+  auto scope = arb.next_round();
   for (std::size_t i = 0; i < 16; i += 4) EXPECT_TRUE(scope.acquire(i));
   EXPECT_EQ(arb.touched_count(), 4u);
 }
 
-TEST(WriteArbiter, FullSweepsClearStaleTouchedLists) {
-  ArbiterConfig cfg;
-  cfg.tracking = TouchTracking::kEnabled;
-  cfg.lanes = 1;
-  WriteArbiter<GatekeeperPolicy> arb(8, cfg);
+TEST(WriteArbiter, NoneModeKeepsTouchedListsForTheNextReArm) {
+  WriteArbiter<GatekeeperPolicy> arb(8, {.rearm = Rearm::kSparse, .lanes = 1});
   {
-    auto scope = arb.next_round(ResetMode::kNone);
+    auto scope = arb.next_round();
     ASSERT_TRUE(scope.acquire(1));
   }
-  arb.reset_tags_parallel();  // full sweep must also drain the lists…
-  EXPECT_EQ(arb.touched_count(), 0u);
   {
-    auto scope = arb.next_round(ResetMode::kPolicy);  // …and so must kPolicy
+    auto scope = arb.next_round(ResetMode::kNone);
     ASSERT_TRUE(scope.acquire(2));
   }
-  (void)arb.next_round(ResetMode::kPolicy);
-  EXPECT_EQ(arb.touched_count(), 0u);
+  EXPECT_EQ(arb.touched_count(), 2u);
+  {
+    auto scope = arb.next_round();  // re-arms both rounds' wins
+    EXPECT_TRUE(scope.acquire(1));
+    EXPECT_TRUE(scope.acquire(2));
+  }
   arb.reset_all();
   EXPECT_EQ(arb.touched_count(), 0u);
+}
+
+/// The reset_tags counter pins who re-arms how much at each boundary: a
+/// sweep arbiter N tags per round, a sparse one exactly the previous
+/// round's wins, and kNone or CAS-LT nothing — serially and on a team.
+TEST(WriteArbiter, ReArmCountsExactlyTheTagsItResets) {
+  using IGate = InstrumentedPolicy<GatekeeperPolicy>;
+  using ICasLt = InstrumentedPolicy<CasLtPolicy>;
+  constexpr std::size_t kTargets = 64;
+  const auto win = [](auto& arbiter, std::size_t writes) {
+    auto scope = arbiter.next_round();
+    for (std::size_t i = 0; i < writes; ++i) EXPECT_TRUE(scope.acquire(i * 3));
+  };
+  for (const int threads : {1, 4}) {
+    WriteArbiter<IGate> sweep(kTargets, {.threads = threads});
+    WriteArbiter<IGate> sparse(kTargets, {.rearm = Rearm::kSparse, .threads = threads});
+    WriteArbiter<ICasLt> caslt(kTargets, {.threads = threads});
+    for (auto* arbiter : {&sweep, &sparse}) {
+      win(*arbiter, 5);  // re-arms the fresh tags: N vs 0
+      win(*arbiter, 7);  // N vs 5
+      win(*arbiter, 2);  // N vs 7
+      // kNone: 0 vs 0
+      (void)arbiter->next_round(ResetMode::kNone);
+    }
+    win(caslt, 5);
+    win(caslt, 7);
+    EXPECT_EQ(sweep.contention().totals().reset_tags, 3 * kTargets) << threads;
+    EXPECT_EQ(sparse.contention().totals().reset_tags, 5u + 7u) << threads;
+    EXPECT_EQ(sparse.touched_count(), 2u) << threads;
+    EXPECT_EQ(caslt.contention().totals().reset_tags, 0u) << threads;
+  }
 }
 
 TEST(WriteArbiterStress, PerTargetExactlyOneWinner) {

@@ -74,18 +74,18 @@ TEST(ConWriteArray, FactoryForm) {
 }
 
 TEST(ConWriteArray, ParallelBeginRoundResetsGatekeepers) {
-  ConWriteArray<int, GatekeeperPolicy> arr(64);
-  arr.begin_round_parallel(4);
+  ConWriteArray<int, GatekeeperPolicy> arr(64, ArbiterConfig{.threads = 4});
+  arr.begin_round();
   for (std::size_t i = 0; i < 64; ++i) ASSERT_TRUE(arr.try_write(i, 1));
   for (std::size_t i = 0; i < 64; ++i) ASSERT_FALSE(arr.try_write(i, 1));
-  arr.begin_round_parallel(4);
+  arr.begin_round();
   for (std::size_t i = 0; i < 64; ++i) EXPECT_TRUE(arr.try_write(i, 2));
 }
 
 TEST(ConWriteArray, ParallelBeginRoundCasLtIsCheap) {
-  ConWriteArray<int> arr(64);
-  const round_t r1 = arr.begin_round_parallel();
-  const round_t r2 = arr.begin_round_parallel();
+  ConWriteArray<int> arr(64, ArbiterConfig{.threads = 4});
+  const round_t r1 = arr.begin_round();
+  const round_t r2 = arr.begin_round();
   EXPECT_EQ(r2, r1 + 1);
   EXPECT_TRUE(arr.try_write(0, 1));
 }
@@ -101,27 +101,24 @@ TEST(ConWriteArray, ResetTags) {
 }
 
 TEST(ConWriteArray, ConfigCtorWithSparseRounds) {
-  ArbiterConfig cfg;
-  cfg.tracking = TouchTracking::kEnabled;
-  cfg.lanes = 4;
-  cfg.first_touch = util::FirstTouch::kParallel;
+  const ArbiterConfig cfg{.rearm = Rearm::kSparse, .threads = 2, .lanes = 4};
   ConWriteArray<int, GatekeeperPolicy> arr(64, cfg, -1);
   for (std::size_t i = 0; i < 64; ++i) ASSERT_EQ(arr[i], -1);
 
-  arr.begin_round_sparse(2);
+  arr.begin_round();
   for (std::size_t i = 0; i < 64; i += 8) ASSERT_TRUE(arr.try_write(i, 1));
   for (std::size_t i = 0; i < 64; i += 8) ASSERT_FALSE(arr.try_write(i, 9));
-  // The sparse sweep re-opens exactly the written cells; untouched cells
+  // The sparse re-arm re-opens exactly the written cells; untouched cells
   // were never closed, so after it the whole array accepts writes again.
-  arr.begin_round_sparse(2);
+  arr.begin_round();
   for (std::size_t i = 0; i < 64; ++i) ASSERT_TRUE(arr.try_write(i, 2));
   for (std::size_t i = 0; i < 64; ++i) ASSERT_EQ(arr[i], 2);
 }
 
 TEST(ConWriteArray, SparseRoundIsPlainIncrementForCasLt) {
-  ConWriteArray<int> arr(4, ArbiterConfig{}, 0);
-  const round_t r1 = arr.begin_round_sparse();
-  const round_t r2 = arr.begin_round_sparse();
+  ConWriteArray<int> arr(4, ArbiterConfig{.rearm = Rearm::kSparse}, 0);
+  const round_t r1 = arr.begin_round();
+  const round_t r2 = arr.begin_round();
   EXPECT_EQ(r2, r1 + 1);
   EXPECT_TRUE(arr.try_write(0, 1));
 }
